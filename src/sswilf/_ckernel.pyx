@@ -75,21 +75,6 @@ cdef void _unrank(int n, long long rank, int* out) noexcept:
         remaining -= 1
 
 
-def pyramid_key(perm):
-    """Pyramid serialization of one permutation (top level first)."""
-    cdef int n = len(perm)
-    if n < 2 or n > MAXN:
-        raise ValueError(f"kernel supports sizes 2..{MAXN}, got {n}")
-    cdef int pos[MAXN + 1]
-    cdef int positions[MAXN + 1]
-    cdef char buf[BUFSZ]
-    cdef int i
-    for i in range(n):
-        pos[<int> perm[i]] = i + 1
-    cdef Py_ssize_t blen = _key_into(pos, n, positions, buf)
-    return PyBytes_FromStringAndSize(buf, blen)
-
-
 def sweep_block(int n, long long start, long long count):
     """Aggregate a lexicographic block; see _pykernel.sweep_block."""
     if n < 2 or n > MAXN:

@@ -1,11 +1,12 @@
 """Pure-Python sweep kernel.
 
 Walks a contiguous lexicographic block of S_n, computes each permutation's
-pyramid key (same bytes as ``pyramid.canonical_key``), and aggregates class
-counts.  The compiled twin in ``_ckernel`` exposes the same interface; both
-are limited to n <= 16 where a permutation packs into one 64-bit code
-(4 bits per letter, first letter most significant, so integer order equals
-lexicographic order).
+pyramid key, and aggregates class counts.  The key has the same bytes as
+``pyramid.canonical_key``: gap entries stay below 0x80 at these sizes, so one
+byte per entry is already the varint encoding.  The compiled twin in
+``_ckernel`` exposes the same interface; both are limited to n <= 16 where a
+permutation packs into one 64-bit code (4 bits per letter, first letter most
+significant, so integer order equals lexicographic order).
 """
 from __future__ import annotations
 
@@ -50,34 +51,6 @@ def _advance(perm: list[int]) -> bool:
     perm[i], perm[j] = perm[j], perm[i]
     perm[i + 1 :] = perm[:i:-1]
     return True
-
-
-def pyramid_key(perm) -> bytes:
-    """Pyramid serialization of one permutation (top level first).
-
-    Byte-identical to ``pyramid.canonical_key(pyramid.pyramidal_sequence(perm))``
-    for the sizes this kernel supports (gap entries stay below 0x80, so one
-    byte per entry is already the varint encoding).
-    """
-    n = len(perm)
-    if not 2 <= n <= MAX_N:
-        raise ValueError(f"kernel supports sizes 2..{MAX_N}, got {n}")
-    pos = [0] * (n + 1)
-    i = 1
-    for x in perm:
-        pos[x] = i
-        i += 1
-    positions = [pos[n]]
-    out = bytearray()
-    append = out.append
-    for letter in range(n - 1, 0, -1):
-        insort(positions, pos[letter])
-        prev = positions[0]
-        for q in positions[1:]:
-            append(q - prev)
-            prev = q
-        append(0)
-    return bytes(out)
 
 
 def sweep_block(n: int, start: int, count: int) -> dict[bytes, list[int]]:

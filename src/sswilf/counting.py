@@ -77,22 +77,26 @@ def noninterval_count(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+_class_counts = [0, 1, 1, 2]  # index = size; grown in place by class_count
+
+
 def class_count(n: int) -> int:
     """Number of super-strong Wilf equivalence classes of S_n.
+
+    Filled bottom-up over the sizes, so no recursion depth limits n.
 
     >>> class_count(10)
     1490564
     """
     if n < 1:
         raise OutOfRange(f"defined for n >= 1, got {n}")
-    if n <= 2:
-        return 1
-    if n == 3:
-        return 2
-    return class_count(n - 1) + sum(
-        minimal_prefix_count(i, n) * class_count(n - i) for i in range(2, n - 1)
-    )
+    counts = _class_counts
+    for m in range(len(counts), n + 1):
+        counts.append(
+            counts[m - 1]
+            + sum(minimal_prefix_count(i, m) * counts[m - i] for i in range(2, m - 1))
+        )
+    return counts[n]
 
 
 @lru_cache(maxsize=None)

@@ -1,37 +1,27 @@
-"""Backend selection for the sweep kernels.
+"""Backend selection for the sweep kernel.
 
-The compiled extension is preferred when importable; otherwise the pure
-Python twin takes over with identical semantics.  Set ``SSWILF_KERNEL=python``
-to force the fallback (useful for benchmarking and cross-checking).
+The compiled extension is used when it imports; otherwise the pure-Python
+twin takes over with identical semantics and byte-identical output.
+``BACKEND`` names the one in use.  Both walk permutations they generate
+themselves, so no caller-supplied permutation reaches compiled code.
 """
 from __future__ import annotations
 
-import os
-
 from ._pykernel import MAX_N, pack_code, unpack_code, unrank
 
-if os.environ.get("SSWILF_KERNEL", "").lower() in {"python", "py", "pure"}:
-    from . import _pykernel as _impl
+try:
+    from ._ckernel import sweep_block  # type: ignore[import-not-found]
+
+    BACKEND = "compiled"
+except ImportError:
+    from ._pykernel import sweep_block
 
     BACKEND = "python"
-else:
-    try:
-        from . import _ckernel as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pykernel as _impl
-
-        BACKEND = "python"
-
-pyramid_key = _impl.pyramid_key
-sweep_block = _impl.sweep_block
 
 __all__ = [
     "BACKEND",
     "MAX_N",
     "pack_code",
-    "pyramid_key",
     "sweep_block",
     "unpack_code",
     "unrank",

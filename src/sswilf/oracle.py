@@ -5,10 +5,13 @@ rest of the package obtains from recurrences, bijections, or structure rules:
 the partition of S_n by pyramid, the minimal-prefix sets, and the orbit
 partitions under rigid shifts.  The oracle side deliberately avoids the
 recursive shortcuts so that agreement is meaningful.
+
+Each sweep refuses sizes above a limit (``DEFAULT_SS_LIMIT`` for the
+pyramid and prefix sweeps, ``DEFAULT_SHIFT_LIMIT`` for the orbit BFS) unless
+the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _permutations
@@ -16,24 +19,12 @@ from math import factorial
 
 from . import kernel
 from .errors import InternalError, LimitExceeded, OutOfRange
+from .pyramid import canonical_key, pyramidal_sequence
 from .shift import enumerate_rigid_shifts
 from .words import reversal
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
-_LIMIT_ENV = "SSWILF_ORACLE_LIMIT"
-
-
-def _resolve_limit(limit: int | None, default: int) -> int:
-    if limit is not None:
-        return limit
-    env = os.environ.get(_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise OutOfRange(f"{_LIMIT_ENV}={env!r} is not an integer") from None
-    return default
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,7 @@ def bruteforce_ss_partition(
     """
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
-    if n > _resolve_limit(limit, DEFAULT_SS_LIMIT):
+    if n > (DEFAULT_SS_LIMIT if limit is None else limit):
         raise LimitExceeded(f"n={n} exceeds the sweep limit; pass a higher limit")
     total = factorial(n)
     if workers <= 1 or total < 10_000:
@@ -141,7 +132,7 @@ def bruteforce_minimal_prefixes(
     recursive construction."""
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
-    if n > _resolve_limit(limit, DEFAULT_SS_LIMIT):
+    if n > (DEFAULT_SS_LIMIT if limit is None else limit):
         raise LimitExceeded(f"n={n} exceeds the sweep limit; pass a higher limit")
     table = _periodic_complement_table(n)
     out = []
@@ -165,7 +156,7 @@ def bruteforce_shift_partition(
     when flagged) by plain breadth-first search, no pyramid involved."""
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
-    if n > _resolve_limit(limit, DEFAULT_SHIFT_LIMIT):
+    if n > (DEFAULT_SHIFT_LIMIT if limit is None else limit):
         raise LimitExceeded(f"n={n} exceeds the BFS limit; pass a higher limit")
     seen: set[tuple[int, ...]] = set()
     entries = []
@@ -186,7 +177,8 @@ def bruteforce_shift_partition(
         seen |= orbit
         # `start` is lexicographically least: S_n is walked in ascending order;
         # the pyramid key only labels the orbit, it plays no part in grouping
-        entries.append((kernel.pyramid_key(start), (len(orbit), kernel.pack_code(start))))
+        key = canonical_key(pyramidal_sequence(start))
+        entries.append((key, (len(orbit), kernel.pack_code(start))))
     return _finish_report(n, entries)
 
 

@@ -4,18 +4,21 @@ Draw a permutation as a bar chart (column i has height u_i), cut at height h,
 and slide every block above the cut by one common offset so that each block
 lands on a column whose truncated height is exactly h.  The orbit of a
 permutation under such moves is its strong shift class, which coincides with
-its super-strong Wilf equivalence class; allowing reversals as well merges
-each class with its mirror, except for the two classes that are their own
-mirror.
+its super-strong Wilf equivalence class.  Allowing reversals as well only
+joins each class to the class of its mirror, so a shift class is the union of
+the strong classes of u and of its reversal.
+
+Every public function validates its permutation arguments on entry; the
+breadth-first closure behind the orbits and witnesses adds no check of its
+own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidMove, SizeMismatch
-from .pyramid import is_ss_equivalent, pyramidal_sequence
-from .words import identity, reversal
+from .words import as_permutation, identity, reversal
 
 
 @dataclass(frozen=True, order=True)
@@ -43,6 +46,10 @@ def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]
     >>> apply_rigid_shift((3, 2, 4, 1, 5), RigidShiftMove(3, -2))
     (4, 2, 5, 1, 3)
     """
+    return _apply(as_permutation(u), move)
+
+
+def _apply(u: tuple[int, ...], move: RigidShiftMove) -> tuple[int, ...]:
     n = len(u)
     h = move.height
     if h > n:
@@ -75,6 +82,7 @@ def enumerate_rigid_shifts(
     """All valid moves with a non-empty moved set, with their results,
     ordered by (height, offset).  Cuts at the full height move nothing and
     are omitted."""
+    u = as_permutation(u)
     n = len(u)
     out = []
     for h in range(1, n):
@@ -86,105 +94,84 @@ def enumerate_rigid_shifts(
                 continue
             if all(u[i + offset] >= h for i in moved):
                 move = RigidShiftMove(h, offset)
-                out.append((move, apply_rigid_shift(u, move)))
+                out.append((move, _apply(u, move)))
     return tuple(out)
 
 
-def _closure(seed: tuple[int, ...], with_reversals: bool) -> frozenset:
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        neighbours = [r for _, r in enumerate_rigid_shifts(x)]
+def _closure(
+    seed: tuple[int, ...], with_reversals: bool, target: tuple[int, ...] | None = None
+) -> dict[tuple[int, ...], tuple | None]:
+    """Level-order walk from ``seed`` under rigid shifts (and reversals when
+    flagged): {member: (parent, move) or None for the seed}.  Stops early once
+    ``target`` has been reached, so its parent chain is a shortest path."""
+    parents: dict[tuple[int, ...], tuple | None] = {seed: None}
+    queue = [seed]
+    for x in queue:  # the queue grows while it is walked
+        if target in parents:
+            break
+        steps = list(enumerate_rigid_shifts(x))
         if with_reversals:
-            neighbours.append(reversal(x))
-        for r in neighbours:
-            if r not in seen:
-                seen.add(r)
-                frontier.append(r)
-    return frozenset(seen)
+            steps.append(("reversal", reversal(x)))
+        for move, r in steps:
+            if r not in parents:
+                parents[r] = (x, move)
+                queue.append(r)
+    return parents
 
 
 def strong_shift_class(u: Sequence[int]) -> frozenset:
     """Orbit of ``u`` under rigid shifts alone (breadth-first closure)."""
-    return _closure(tuple(u), with_reversals=False)
-
-
-def _mirror_invariant_pyramid(u: Sequence[int]) -> bool:
-    # the two self-mirror classes: the identity's, and the one of
-    # 1 2 .. (n-3) (n-1) (n-2) n whose pyramid is all ones below a top (2,)
-    n = len(u)
-    p = pyramidal_sequence(u).levels
-    if all(set(level) == {1} for level in p):
-        return True
-    return p[-1] == (2,) and all(set(level) == {1} for level in p[:-1])
+    return frozenset(_closure(as_permutation(u), with_reversals=False))
 
 
 def shift_class(u: Sequence[int]) -> frozenset:
-    """Orbit of ``u`` under rigid shifts and reversals, by the structure
-    rule: the strong class alone when it is mirror-invariant, otherwise its
-    union with the strong class of the reversal."""
-    u = tuple(u)
-    n = len(u)
-    if n == 1:
-        return frozenset({u})
-    if n == 2:
-        return frozenset({(1, 2), (2, 1)})
-    own = strong_shift_class(u)
-    if _mirror_invariant_pyramid(u):
-        return own
-    return own | strong_shift_class(reversal(u))
+    """Orbit of ``u`` under rigid shifts and reversals: the strong class of
+    ``u`` joined with the strong class of its reversal (the two coincide for
+    the two mirror-invariant classes)."""
+    u = as_permutation(u)
+    return frozenset(_closure(u, with_reversals=False)).union(
+        _closure(reversal(u), with_reversals=False)
+    )
+
+
+def _pair(u: Sequence[int], v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    u, v = as_permutation(u), as_permutation(v)
+    if len(u) != len(v):
+        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
+    return u, v
 
 
 def is_shift_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
     """True when some chain of rigid shifts and reversals links u to v."""
-    if len(u) != len(v):
-        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
-    return tuple(v) in shift_class(u)
+    u, v = _pair(u, v)
+    return v in _closure(u, with_reversals=True, target=v)
 
 
 def is_strong_shift_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
     """True when some chain of rigid shifts alone links u to v."""
-    if len(u) != len(v):
-        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
-    return tuple(v) in strong_shift_class(u)
+    u, v = _pair(u, v)
+    return v in _closure(u, with_reversals=False, target=v)
 
 
 def find_witness(
     u: Sequence[int], v: Sequence[int], with_reversals: bool
 ) -> list[RigidShiftMove | str] | None:
-    """Breadth-first move sequence turning u into v, or None.
+    """Shortest move sequence turning u into v, or None.
 
     Reversal steps appear as the string ``"reversal"``.
     """
-    if len(u) != len(v):
-        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
-    u, v = tuple(u), tuple(v)
-    if u == v:
-        return []
-    parents: dict[tuple[int, ...], tuple] = {u: None}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            steps = list(enumerate_rigid_shifts(x))
-            if with_reversals:
-                steps.append(("reversal", reversal(x)))
-            for move, r in steps:
-                if r in parents:
-                    continue
-                parents[r] = (x, move)
-                if r == v:
-                    path = []
-                    node = v
-                    while parents[node] is not None:
-                        node, mv = parents[node]
-                        path.append(mv)
-                    path.reverse()
-                    return path
-                nxt.append(r)
-        frontier = nxt
-    return None
+    u, v = _pair(u, v)
+    parents = _closure(u, with_reversals, target=v)
+    if v not in parents:
+        return None
+    path = []
+    step = parents[v]
+    while step is not None:
+        node, move = step
+        path.append(move)
+        step = parents[node]
+    path.reverse()
+    return path
 
 
 def reversal_invariant_members(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -19,6 +19,7 @@ from .errors import (
     MalformedToken,
     MissingLetter,
     NonPositiveLetter,
+    SizeMismatch,
 )
 
 _SEPARATORS = re.compile(r"[,\s]+")
@@ -101,11 +102,18 @@ def identity(n: int) -> tuple[int, ...]:
 def inverse(u: Sequence[int]) -> tuple[int, ...]:
     """Inverse permutation: the result t satisfies t[u[i]-1] == i+1.
 
+    Raises a ``UsageError`` when ``u`` is not a permutation of 1..n.
+
     >>> inverse((5, 9, 2, 7, 3, 8, 1, 6, 4))
     (7, 3, 5, 9, 1, 8, 4, 6, 2)
     """
-    inv = [0] * len(u)
+    n = len(u)
+    inv = [0] * n
     for i, x in enumerate(u):
+        if not 0 < x <= n:
+            raise MissingLetter(f"letters of {tuple(u)} are not exactly 1..{n}")
+        if inv[x - 1]:
+            raise DuplicateLetter(f"duplicate letter {x} in {tuple(u)}")
         inv[x - 1] = i + 1
     return tuple(inv)
 
@@ -139,11 +147,11 @@ def un_reduce(alphabet: Iterable[int], pattern: Sequence[int]) -> tuple[int, ...
     """
     letters = sorted(alphabet)
     if len(letters) != len(pattern):
-        from .errors import SizeMismatch
-
         raise SizeMismatch(
             f"alphabet size {len(letters)} != pattern size {len(pattern)}"
         )
+    if sorted(pattern) != list(range(1, len(pattern) + 1)):
+        raise MissingLetter(f"pattern {tuple(pattern)} is not a permutation of 1..k")
     return tuple(letters[t - 1] for t in pattern)
 
 

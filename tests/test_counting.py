@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import sswilf
 from sswilf.counting import (
     class_count,
     class_count_by_exponent,
@@ -117,6 +122,21 @@ class TestClassCount:
 
     def test_ten(self):
         assert class_count(10) == 1490564
+
+    def test_cold_cache_needs_no_recursion_depth(self):
+        # a fresh interpreter, so no size is cached before the call
+        code = (
+            "import sys; sys.setrecursionlimit(100)\n"
+            "from sswilf.counting import class_count\n"
+            "print(class_count(150))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == class_count(150)
 
 
 class TestClassCountByExponent:

@@ -22,20 +22,32 @@ def backend(request):
     return request.param
 
 
+def _library_tally(n, start, count):
+    """sweep_block's answer for a block, computed one permutation at a time
+    through the library's pyramid and key."""
+    expected = {}
+    for rank in range(start, start + count):
+        u = tuple(_pykernel.unrank(n, rank))
+        key = canonical_key(pyramidal_sequence(u))
+        if key not in expected:
+            expected[key] = [0, _pykernel.pack_code(u)]
+        expected[key][0] += 1
+    return expected
+
+
 def test_key_matches_library(backend):
     for n in range(2, 7):
-        for u in symmetric_group(n):
-            assert backend.pyramid_key(u) == canonical_key(pyramidal_sequence(u))
+        for rank in range(factorial(n)):
+            assert backend.sweep_block(n, rank, 1) == _library_tally(n, rank, 1)
 
 
 def test_key_matches_library_random_large(backend):
     rng = random.Random(99)
     for n in (10, 13, 16):
-        for _ in range(40):
-            u = list(range(1, n + 1))
-            rng.shuffle(u)
-            u = tuple(u)
-            assert backend.pyramid_key(u) == canonical_key(pyramidal_sequence(u))
+        for _ in range(8):
+            count = rng.randint(1, 40)
+            start = rng.randrange(factorial(n) - count + 1)
+            assert backend.sweep_block(n, start, count) == _library_tally(n, start, count)
 
 
 def test_sweep_counts_match_direct_grouping(backend):
@@ -73,9 +85,9 @@ def test_blocks_merge_to_full_sweep(backend):
 
 def test_size_bounds(backend):
     with pytest.raises(ValueError):
-        backend.pyramid_key((1,))
+        backend.sweep_block(1, 0, 1)
     with pytest.raises(ValueError):
-        backend.pyramid_key(tuple(range(1, 18)))
+        backend.sweep_block(17, 0, 1)
     with pytest.raises(ValueError):
         backend.sweep_block(5, 100, 100)
 

@@ -58,10 +58,9 @@ class TestEquivalencePartition:
         with pytest.raises(OutOfRange):
             bruteforce_ss_partition(1)
 
-    def test_limit_override(self, monkeypatch):
-        monkeypatch.setenv("SSWILF_ORACLE_LIMIT", "4")
+    def test_limit_override(self):
         with pytest.raises(LimitExceeded):
-            bruteforce_ss_partition(5)
+            bruteforce_ss_partition(5, limit=4)
         assert bruteforce_ss_partition(5, limit=5).class_count == 40
 
     def test_json_shape(self):

@@ -72,6 +72,11 @@ class TestStrongOrbit:
     def test_size_two(self):
         assert strong_shift_class((1, 2)) == {(1, 2), (2, 1)}
 
+    def test_smallest_sizes(self):
+        assert strong_shift_class((1,)) == shift_class((1,)) == {(1,)}
+        for u in ((1, 2), (2, 1)):
+            assert strong_shift_class(u) == shift_class(u) == {(1, 2), (2, 1)}
+
     def test_orbits_are_the_equivalence_classes(self):
         for n in range(2, 7):
             for levels, members in brute_class_map(n).items():
@@ -121,7 +126,7 @@ class TestShiftOrbit:
         for u in symmetric_group(5):
             assert shift_class(u) == bfs(u)
 
-    def test_exactly_two_mirror_invariant_classes(self):
+    def test_exactly_two_reversal_invariant_classes(self):
         for n in range(3, 8):
             invariant = []
             for levels, members in brute_class_map(n).items():
@@ -170,3 +175,13 @@ class TestWitness:
 
     def test_empty_path(self):
         assert find_witness((2, 1, 3), (2, 1, 3), with_reversals=False) == []
+
+    def test_every_witness_of_s5_replays(self):
+        for with_reversals in (False, True):
+            orbit = shift_class if with_reversals else strong_shift_class
+            for u in symmetric_group(5):
+                for v in orbit(u):
+                    w = u
+                    for move in find_witness(u, v, with_reversals):
+                        w = reversal(w) if move == "reversal" else apply_rigid_shift(w, move)
+                    assert w == v, (u, v, with_reversals)
