@@ -298,7 +298,14 @@ def _cmd_shift_orbit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mismatches: list[str] = []
-    checks = ("ss", "prefixes", "shift") if args.check == "all" else (args.check,)
+    limits = {
+        "ss": oracle.DEFAULT_SS_LIMIT,
+        "prefixes": oracle.DEFAULT_SS_LIMIT,
+        "shift": oracle.DEFAULT_SHIFT_LIMIT,
+    }
+    checks = tuple(limits) if args.check == "all" else (args.check,)
+    for check in checks:  # refuse an oversized run before sweeping anything
+        oracle.enforce_limit(args.n_max, args.limit, limits[check])
     for check in checks:
         if check == "ss":
             found = oracle.check_ss(args.n_max, workers=args.workers, limit=args.limit)
@@ -328,15 +335,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_table(args) -> int:
     k = args.which
-    if k == 1:
-        return _count_table("d", args.n_max, args)
-    if k == 2:
-        return _count_table("s", args.n_max, args)
-    if k == 3:
-        return _count_table("sh", args.n_max, args)
-    if k == 4:
-        return _count_table("sjn", args.n_max, args)
-    n_max = min(args.n_max, 6) if args.n_max == 12 else args.n_max
+    if k <= 4:
+        family = ("d", "s", "sh", "sjn")[k - 1]
+        return _count_table(family, 12 if args.n_max is None else args.n_max, args)
+    n_max = 6 if args.n_max is None else args.n_max
+    if n_max > _DEFAULT_REPS_LIMIT:
+        raise LimitExceeded(f"n={n_max} exceeds the listing limit")
     if args.json:
         _emit_json(
             {
@@ -431,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common], help="print a whole table")
     p.add_argument("which", type=int, choices=(1, 2, 3, 4, 5))
-    p.add_argument("--n-max", type=int, default=12, dest="n_max")
+    p.add_argument(
+        "--n-max", type=int, dest="n_max", help="largest size (12; 6 for table 5)"
+    )
     p.set_defaults(func=_cmd_table)
 
     return parser

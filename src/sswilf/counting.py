@@ -99,9 +99,14 @@ def class_count(n: int) -> int:
     return counts[n]
 
 
-@lru_cache(maxsize=None)
+_counts_by_exponent: list[list[int]] = []  # [j][n]; grown by class_count_by_exponent
+
+
 def class_count_by_exponent(j: int, n: int) -> int:
     """Number of classes of S_n with exactly 2**j members.
+
+    Filled bottom-up, one column of sizes per exponent up to j, so no
+    recursion depth limits n.
 
     >>> class_count_by_exponent(4, 10)
     3992
@@ -110,14 +115,20 @@ def class_count_by_exponent(j: int, n: int) -> int:
         raise OutOfRange(f"need n >= 2 and j >= 0, got j={j}, n={n}")
     if j == 0 or j > n - 1:
         return 0
-    if n == 2:
-        return 1
-    if n == 3:
-        return 1  # j is 1 or 2 here
-    return class_count_by_exponent(j - 1, n - 1) + sum(
-        minimal_prefix_count(k, n) * class_count_by_exponent(j, n - k)
-        for k in range(2, n - j)
-    )
+    columns = _counts_by_exponent
+    columns.extend([] for _ in range(len(columns), j + 1))
+    for e in range(j + 1):  # cell (j, n) needs (e, m) only for m - e <= n - j
+        column = columns[e]
+        for m in range(len(column), n - j + e + 1):
+            if e == 0 or e > m - 1:
+                column.append(0)
+            elif m <= 3:
+                column.append(1)
+            else:
+                column.append(columns[e - 1][m - 1] + sum(
+                    minimal_prefix_count(k, m) * column[m - k] for k in range(2, m - e)
+                ))
+    return columns[j][n]
 
 
 def shift_class_count(n: int) -> int:

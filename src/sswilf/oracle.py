@@ -51,6 +51,12 @@ class ClassPartitionReport:
         return out
 
 
+def enforce_limit(n: int, limit: int | None, default: int) -> None:
+    """Raise ``LimitExceeded`` when n is above ``limit`` (``default`` if None)."""
+    if n > (default if limit is None else limit):
+        raise LimitExceeded(f"n={n} exceeds the size limit; pass a higher limit")
+
+
 def _finish_report(n: int, items) -> ClassPartitionReport:
     """items: iterable of (key, (size, packed least member)) per class."""
     histogram: dict[int, int] = {}
@@ -91,8 +97,7 @@ def bruteforce_ss_partition(
     """
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
-    if n > (DEFAULT_SS_LIMIT if limit is None else limit):
-        raise LimitExceeded(f"n={n} exceeds the sweep limit; pass a higher limit")
+    enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     total = factorial(n)
     if workers <= 1 or total < 10_000:
         groups = kernel.sweep_block(n, 0, total)
@@ -132,8 +137,7 @@ def bruteforce_minimal_prefixes(
     recursive construction."""
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
-    if n > (DEFAULT_SS_LIMIT if limit is None else limit):
-        raise LimitExceeded(f"n={n} exceeds the sweep limit; pass a higher limit")
+    enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     table = _periodic_complement_table(n)
     out = []
     last = i - 1
@@ -156,8 +160,7 @@ def bruteforce_shift_partition(
     when flagged) by plain breadth-first search, no pyramid involved."""
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
-    if n > (DEFAULT_SHIFT_LIMIT if limit is None else limit):
-        raise LimitExceeded(f"n={n} exceeds the BFS limit; pass a higher limit")
+    enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
     seen: set[tuple[int, ...]] = set()
     entries = []
     for start in _permutations(range(1, n + 1)):
@@ -188,6 +191,7 @@ def check_ss(n_max: int, workers: int = 1, limit: int | None = None) -> list[str
     """Compare swept class counts and histograms against the recurrences."""
     from .counting import class_count, class_count_by_exponent
 
+    enforce_limit(n_max, limit, DEFAULT_SS_LIMIT)
     mismatches = []
     for n in range(2, n_max + 1):
         report = bruteforce_ss_partition(n, workers=workers, limit=limit)
@@ -212,6 +216,7 @@ def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
     from .counting import minimal_prefix_count
     from .trapezoid import minimal_prefixes
 
+    enforce_limit(n_max, limit, DEFAULT_SS_LIMIT)
     mismatches = []
     for n in range(3, n_max + 1):
         for i in range(1, n - 1):
@@ -238,6 +243,7 @@ def check_shift(n_max: int, limit: int | None = None) -> list[str]:
     class count."""
     from .counting import class_count, shift_class_count
 
+    enforce_limit(n_max, limit, DEFAULT_SHIFT_LIMIT)
     mismatches = []
     for n in range(2, n_max + 1):
         plain = bruteforce_shift_partition(n, with_reversals=False, limit=limit)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall, TooSmall
-from .words import inverse as _inverse
+from .words import as_permutation, inverse as _inverse
 
 DiffVector = tuple[int, ...]
 
@@ -65,38 +65,54 @@ def validate_transition(a: DiffVector, b: DiffVector) -> bool:
     return False
 
 
-def _check_levels(levels: tuple[DiffVector, ...]) -> None:
-    n = len(levels) + 1
-    if n < 2:
-        raise InvalidPyramid("a pyramid has at least one level")
-    if levels[0] != (1,) * (n - 1):
-        raise InvalidPyramid(f"level 1 must be {(1,) * (n - 1)}, got {levels[0]}")
-    for i, level in enumerate(levels, start=1):
-        if len(level) != n - i:
-            raise InvalidPyramid(f"level {i} must have {n - i} entries, got {level}")
-        if any(e < 1 for e in level):
-            raise InvalidPyramid(f"level {i} has a non-positive entry: {level}")
-    for i in range(len(levels) - 1):
-        if not validate_transition(levels[i], levels[i + 1]):
-            raise InvalidPyramid(
-                f"no admissible step from level {i + 1} {levels[i]} "
-                f"to level {i + 2} {levels[i + 1]}"
-            )
+def is_periodic_vector(d: Sequence[int]) -> bool:
+    """True when all entries are equal (single entries count).
+
+    >>> is_periodic_vector((2, 2, 2))
+    True
+    >>> is_periodic_vector((1, 2, 2, 2))
+    False
+    """
+    return all(e == d[0] for e in d)
+
+
+def _built(cls, levels: tuple[DiffVector, ...]):
+    """A ``cls`` value holding ``levels`` (tuples of tuples) unchecked: only
+    for levels the library built itself, which are valid by construction."""
+    value = object.__new__(cls)
+    object.__setattr__(value, "levels", levels)
+    return value
 
 
 @dataclass(frozen=True)
 class PyramidalSequence:
     """Validated stack of difference vectors (levels[0] is the longest).
 
-    Construction re-checks every transition, so a ``PyramidalSequence`` value
-    is valid by construction.
+    The constructor checks the caller's levels; :func:`pyramidal_sequence`
+    skips it, since the pyramid of a permutation is valid by construction.
     """
 
     levels: tuple[DiffVector, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(tuple(v) for v in self.levels))
-        _check_levels(self.levels)
+        levels = self.levels
+        n = len(levels) + 1
+        if n < 2:
+            raise InvalidPyramid("a pyramid has at least one level")
+        if levels[0] != (1,) * (n - 1):
+            raise InvalidPyramid(f"level 1 must be {(1,) * (n - 1)}, got {levels[0]}")
+        for i, level in enumerate(levels, start=1):
+            if len(level) != n - i:
+                raise InvalidPyramid(f"level {i} must have {n - i} entries, got {level}")
+            if any(e < 1 for e in level):
+                raise InvalidPyramid(f"level {i} has a non-positive entry: {level}")
+        for i in range(len(levels) - 1):
+            if not validate_transition(levels[i], levels[i + 1]):
+                raise InvalidPyramid(
+                    f"no admissible step from level {i + 1} {levels[i]} "
+                    f"to level {i + 2} {levels[i + 1]}"
+                )
 
     @property
     def n(self) -> int:
@@ -114,6 +130,9 @@ def pyramidal_sequence(u: Sequence[int]) -> PyramidalSequence:
     """The pyramid of ``u``: level i lists the gaps between positions of
     letters >= i as they occur in ``u`` from left to right.
 
+    ``inverse`` validates ``u``; the levels are a pyramid by construction
+    (Hadjiloucas, Michos and Savvidou, 2018), so they are not checked again.
+
     >>> pyramidal_sequence((2, 1, 3)).levels
     ((1, 1), (2,))
     """
@@ -127,7 +146,7 @@ def pyramidal_sequence(u: Sequence[int]) -> PyramidalSequence:
         insort(positions, pos[i])
         levels.append(tuple(b - a for a, b in zip(positions, positions[1:])))
     levels.reverse()
-    return PyramidalSequence(tuple(levels))
+    return _built(PyramidalSequence, tuple(levels))
 
 
 def is_ss_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -138,12 +157,8 @@ def is_ss_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
     if len(u) != len(v):
         raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
     if len(u) == 1:
-        return True
+        return as_permutation(u) == as_permutation(v)
     return pyramidal_sequence(u) == pyramidal_sequence(v)
-
-
-def _is_constant(v: DiffVector) -> bool:
-    return all(e == v[0] for e in v)
 
 
 def class_size_exponent(p: PyramidalSequence) -> int:
@@ -157,7 +172,7 @@ def class_size_exponent(p: PyramidalSequence) -> int:
     j = 1
     for i in range(len(levels) - 1):
         a, b = levels[i], levels[i + 1]
-        if _is_constant(a) and _is_constant(b) and a[0] == b[0]:
+        if is_periodic_vector(a) and is_periodic_vector(b) and a[0] == b[0]:
             j += 1
     return j
 
@@ -186,14 +201,10 @@ def canonical_member(p: PyramidalSequence) -> tuple[int, ...]:
             spot = left - a[0]
         elif b == a[:-1]:
             spot = right + a[-1]
-        else:
-            for k in range(len(b)):
-                if b[k] != a[k]:
-                    break
-            else:  # pragma: no cover - excluded by construction validity
-                raise InvalidPyramid(f"no step explains {a} -> {b}")
-            if b[k] != a[k] + a[k + 1] or b[k + 1 :] != a[k + 2 :]:
-                raise InvalidPyramid(f"no step explains {a} -> {b}")
+        else:  # a merge at the first entry where the levels differ
+            k = 0
+            while b[k] == a[k]:
+                k += 1
             spot = left + sum(a[: k + 1])
         position[i] = spot
         left = min(left, spot)

@@ -27,22 +27,13 @@ from .errors import (
 )
 from .pyramid import (
     DiffVector,
+    _built,
     consecutive_differences,
+    is_periodic_vector,
     set_from_differences,
     validate_transition,
 )
 from .words import reduced_form, reversal
-
-
-def is_periodic_vector(d: Sequence[int]) -> bool:
-    """True when all entries are equal (single entries count).
-
-    >>> is_periodic_vector((2, 2, 2))
-    True
-    >>> is_periodic_vector((1, 2, 2, 2))
-    False
-    """
-    return all(e == d[0] for e in d)
 
 
 def is_periodic_set(values) -> bool:
@@ -54,24 +45,27 @@ def _complement(letters, n: int) -> set[int]:
     return set(range(1, n + 1)) - set(letters)
 
 
+def _deletion_tower(u: tuple[int, ...], n: int) -> tuple[DiffVector, ...] | None:
+    """Gap vectors of 1..n as the letters of ``u`` are deleted, or None
+    unless ``u`` is a minimal prefix: distinct letters, only the top constant."""
+    if n < 3 or not 1 <= len(u) <= n - 2:
+        return None
+    remaining = list(range(1, n + 1))
+    levels = [(1,) * (n - 1)]
+    for x in u:
+        if x not in remaining:
+            return None
+        remaining.remove(x)
+        levels.append(tuple(b - a for a, b in zip(remaining, remaining[1:])))
+        if is_periodic_vector(levels[-1]) != (len(levels) == len(u) + 1):
+            return None
+    return tuple(levels)
+
+
 def is_minimal_prefix(u: Sequence[int], n: int) -> bool:
     """Membership test straight from the definition: complement periodic,
     no proper prefix with periodic complement, letters distinct in 1..n."""
-    i = len(u)
-    if n < 3 or not 1 <= i <= n - 2:
-        return False
-    if len(set(u)) != i or not all(1 <= x <= n for x in u):
-        return False
-    remaining = set(range(1, n + 1))
-    for j, x in enumerate(u, start=1):
-        remaining.discard(x)
-        periodic = is_periodic_set(remaining)
-        if j < i:
-            if periodic:
-                return False
-        else:
-            return periodic
-    return False
+    return _deletion_tower(tuple(u), n) is not None
 
 
 def _periodic_subsets(size: int, n: int):
@@ -114,7 +108,11 @@ def minimal_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
 @dataclass(frozen=True)
 class TrapezoidalSequence:
     """Validated initial tower (levels[0] longest) whose top level is the
-    only constant vector apart from the all-ones base."""
+    only constant vector apart from the all-ones base.
+
+    The constructor checks the caller's levels; :func:`prefix_to_trapezoid`
+    skips it, since a minimal prefix's deletion tower is trapezoidal.
+    """
 
     levels: tuple[DiffVector, ...]
 
@@ -162,16 +160,14 @@ def prefix_to_trapezoid(u: Sequence[int], n: int) -> TrapezoidalSequence:
     For length-1 prefixes the images of 1 and n coincide (deleting either
     endpoint leaves gaps (1,...,1)), so the map is two-to-one there and
     injective at every greater height.
+
+    One walk tests ``u`` and builds its tower, trapezoidal by construction.
     """
     u = tuple(u)
-    if not is_minimal_prefix(u, n):
+    levels = _deletion_tower(u, n)
+    if levels is None:
         raise NotAPrefix(f"{u} is not a minimal periodic-complement prefix for n={n}")
-    remaining = set(range(1, n + 1))
-    levels = [consecutive_differences(remaining)]
-    for x in u:
-        remaining.remove(x)
-        levels.append(consecutive_differences(remaining))
-    return TrapezoidalSequence(tuple(levels))
+    return _built(TrapezoidalSequence, levels)
 
 
 def trapezoid_to_prefix(t: TrapezoidalSequence) -> tuple[int, ...]:
@@ -185,21 +181,13 @@ def trapezoid_to_prefix(t: TrapezoidalSequence) -> tuple[int, ...]:
     deleted-minimum reading, i.e. the prefix (1,).
     """
     levels = t.levels
-    n = t.n
-    survivors = tuple(range(1, n + 1))
+    survivors = tuple(range(1, t.n + 1))
     prefix = []
-    for j in range(len(levels) - 1):
-        current = levels[j]
-        nxt = levels[j + 1]
+    for current, nxt in zip(levels, levels[1:]):
         low = survivors[0]
         anchor = low + current[0] if nxt == current[1:] else low
         rebuilt = set_from_differences(anchor, nxt)
-        removed = set(survivors) - set(rebuilt)
-        if len(removed) != 1 or not set(rebuilt) < set(survivors):
-            raise InvalidTrapezoid(
-                f"level {j + 2} {nxt} does not delete one letter from {survivors}"
-            )
-        prefix.append(removed.pop())
+        prefix.append((set(survivors) - set(rebuilt)).pop())
         survivors = rebuilt
     return tuple(prefix)
 

@@ -178,6 +178,11 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--check", "ss", "--n-max", "11")
         assert code == 2
 
+    def test_limit_refused_before_any_check_runs(self, capsys):
+        # prefixes and ss fit n = 8; shift does not, so nothing may run
+        code, out, err = run(capsys, "oracle", "--check", "all", "--n-max", "8")
+        assert code == 2 and out == "" and "error" in err
+
     def test_disagreement_exits_one(self, capsys, monkeypatch):
         from sswilf import cli
 
@@ -207,6 +212,15 @@ class TestTableCommand:
         code, out, _ = run(capsys, "table", "5")
         members = [line.strip() for line in out.splitlines() if not line.startswith("n=")]
         assert len(members) == 2 + 8 + 40 + 256
+
+    def test_table_five_honours_explicit_n_max(self, capsys):
+        code, _, err = run(capsys, "table", "5", "--n-max", "12")
+        assert code == 2 and "error" in err
+        code, out, _ = run(capsys, "table", "5", "--n-max", "4")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("n=")] == [
+            "n=3:", "n=4:"
+        ]
 
 
 class TestDeterminism:

@@ -124,19 +124,20 @@ class TestClassCount:
         assert class_count(10) == 1490564
 
     def test_cold_cache_needs_no_recursion_depth(self):
-        # a fresh interpreter, so no size is cached before the call
-        code = (
-            "import sys; sys.setrecursionlimit(100)\n"
-            "from sswilf.counting import class_count\n"
-            "print(class_count(150))"
-        )
         env = dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) == class_count(150)
+        for call in ("class_count(150)", "class_count_by_exponent(150, 160)"):
+            # a fresh interpreter per call, so no size is cached before it
+            code = (
+                "import sys; sys.setrecursionlimit(100)\n"
+                "from sswilf.counting import class_count, class_count_by_exponent\n"
+                f"print({call})"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, (call, done.stderr)
+            assert int(done.stdout) == eval(call), call
 
 
 class TestClassCountByExponent:

@@ -124,6 +124,22 @@ class TestChecks:
         assert check_prefixes(5) == []
         assert check_shift(4) == []
 
+    def test_limit_comes_before_any_sweep(self, monkeypatch):
+        from sswilf import oracle
+
+        def fail(*args, **kwargs):
+            raise AssertionError("swept before checking the limit")
+
+        for name in ("bruteforce_ss_partition", "bruteforce_minimal_prefixes",
+                     "bruteforce_shift_partition"):
+            monkeypatch.setattr(oracle, name, fail)
+        with pytest.raises(LimitExceeded):
+            check_ss(10)
+        with pytest.raises(LimitExceeded):
+            check_prefixes(10)
+        with pytest.raises(LimitExceeded):
+            check_shift(8)
+
     def test_counts_match_through_six(self):
         for n in (5, 6):
             assert bruteforce_shift_partition(

@@ -93,6 +93,13 @@ class TestPyramidalSequence:
         with pytest.raises(InvalidPyramid):
             PyramidalSequence(((1, 1, 1), (1,)))
 
+    def test_built_pyramids_pass_the_constructor_checks(self):
+        # pyramidal_sequence skips the constructor's checks; they must agree
+        for n in range(2, 8):
+            for u in symmetric_group(n):
+                p = pyramidal_sequence(u)
+                assert PyramidalSequence(p.levels) == p
+
     def test_level_sums_shrink_by_merge_or_edge_deletion(self):
         for n in range(2, 8):
             for u in symmetric_group(n):

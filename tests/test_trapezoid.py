@@ -127,6 +127,20 @@ class TestTrapezoids:
             # interior level constant
             TrapezoidalSequence(((1, 1, 1, 1), (1, 1, 1), (1, 1)))
 
+    def test_built_towers_pass_the_constructor_checks(self):
+        # prefix_to_trapezoid skips the constructor's checks; they must agree
+        for n in range(3, 10):
+            for i in range(1, n - 1):
+                for u in minimal_prefixes(i, n):
+                    t = prefix_to_trapezoid(u, n)
+                    assert TrapezoidalSequence(t.levels) == t
+
+    def test_rejects_malformed_letters(self):
+        for u in ((5, 5), (0, 3), (4, 8), (1, 2, 3, 4, 5, 6)):
+            assert not is_minimal_prefix(u, 7)
+            with pytest.raises(NotAPrefix):
+                prefix_to_trapezoid(u, 7)
+
     def test_images_satisfy_trapezoid_shape(self):
         for n in range(3, 9):
             for i in range(1, n - 1):

@@ -10,6 +10,7 @@ BAD_CALLS = {
     "inverse_repeat": lambda: words.inverse((1, 1)),
     "un_reduce": lambda: words.un_reduce([1, 2], [3, 1]),
     "is_ss_equivalent": lambda: pyramid.is_ss_equivalent((1, 4), (2, 1)),
+    "is_ss_equivalent_size_one": lambda: pyramid.is_ss_equivalent((5,), (1,)),
     "pyramidal_sequence": lambda: pyramid.pyramidal_sequence((1, 4)),
     "shift_class": lambda: shift.shift_class((1, 5, 2)),
     "strong_shift_class": lambda: shift.strong_shift_class((1, 5, 2)),
