@@ -1,4 +1,4 @@
-"""Exact counting recurrences, memoized, integer-only throughout.
+"""Exact counting recurrences in tables filled bottom-up, integer-only throughout.
 
 All counts are derived from one geometric fact: for a permutation prefix of
 length i over 1..n, the unused n-i letters form an arithmetic progression in
@@ -6,58 +6,115 @@ length i over 1..n, the unused n-i letters form an arithmetic progression in
 shorter prefix already had that property isolates the minimal ones.  Chained
 through suffix scaling this yields the number of equivalence classes, the
 class counts by size, and the shift-class counts.
+
+Each quantity lives in a module-level table that grows from the bottom up, so
+no recursion depth limits n and a filled cell is a list lookup.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from math import factorial
+from operator import mul
 
 from .errors import NegativeResult, OutOfRange, ParityViolation
+from .words import as_size
+
+_factorials = [1]  # index = k
+_nonintervals = [0, 0, 2]  # index = size; sizes 0 and 1 are undefined
+_periodic_rows: dict[int, list[int]] = {}  # s -> [periodic_prefix_count(j, s + j)]
+_minimal_rows: dict[int, list[int]] = {}  # n -> [0, minimal_prefix_count(1, n), ...]
+_class_counts = [0, 1, 1, 2]  # index = size
+_counts_by_exponent: list[list[int]] = []  # [j][n]
 
 
-@lru_cache(maxsize=None)
+def _factorial_table(k: int) -> list[int]:
+    f = _factorials
+    for m in range(len(f), k + 1):
+        f.append(f[-1] * m)
+    return f
+
+
+def _progressions(s: int, n: int) -> int:
+    """Arithmetic progressions of s >= 2 terms inside 1..n, in closed form:
+    with g = s-1 gaps, difference d leaves n - g*d starting points, for
+    d = 1..D where D = (n-1) // g."""
+    g = s - 1
+    d = (n - 1) // g
+    return n * d - g * d * (d + 1) // 2
+
+
+def _periodic_row(s: int, n: int) -> list[int]:
+    """Q_s through index n - s, where Q_s[j] = periodic_prefix_count(j, s + j)."""
+    row = _periodic_rows.setdefault(s, [])
+    if len(row) <= n - s:
+        fact = _factorial_table(n - s)
+        for j in range(len(row), n - s + 1):
+            row.append(_progressions(s, s + j) * fact[j])
+    return row
+
+
+def _noninterval_table(n: int) -> list[int]:
+    a = _nonintervals
+    if len(a) <= n:
+        fact = _factorial_table(n)
+        for m in range(len(a), n + 1):
+            a.append(fact[m] - sum(map(mul, a[2:m], fact[m - 1:1:-1])))
+    return a
+
+
+def _minimal_row(n: int) -> list[int]:
+    """[0, minimal_prefix_count(1, n), ..., minimal_prefix_count(n-2, n)].
+
+    Cells i < n//2 are noninterval counts (the stabilization identity); the
+    rest solve the double-counting relation, whose factor
+    periodic_prefix_count(i-k, n-k) keeps the complement size n-i fixed.
+    """
+    row = _minimal_rows.get(n)
+    if row is None:
+        half = n // 2
+        row = [0] + _noninterval_table(half)[2:half + 1]
+        for i in range(half, n - 1):
+            q = _periodic_row(n - i, n)
+            total = q[i] - sum(map(mul, row[1:i], q[i - 1:0:-1]))
+            if total <= 0:
+                raise NegativeResult(f"minimal prefix count ({i}, {n}) = {total}")
+            row.append(total)
+        _minimal_rows[n] = row
+    return row
+
+
 def periodic_prefix_count(i: int, n: int) -> int:
     """Number of length-i prefixes of permutations of 1..n whose unused
     letters form an arithmetic progression.
 
-    Evaluated as (number of progressions of size n-i) * i!; the progression
-    count is summed per common difference d, keeping everything in integers.
+    Evaluated as (number of progressions of size n-i) * i!, keeping
+    everything in integers.
 
     >>> periodic_prefix_count(2, 6)
     6
     """
+    i, n = as_size(i, "i"), as_size(n)
     if n < 3 or not 0 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 0 <= i <= n-2, got i={i}, n={n}")
-    if i == 0:
-        return 1
-    m = n - i - 1  # gaps in the progression
-    progressions = sum(n - d * m for d in range(1, n // m + 1))
-    return progressions * factorial(i)
+    return _progressions(n - i, n) * _factorial_table(i)[i]
 
 
-@lru_cache(maxsize=None)
 def minimal_prefix_count(i: int, n: int) -> int:
     """Number of *minimal* periodic-complement prefixes of length i over 1..n.
 
     Every periodic-complement prefix has a unique minimal initial segment;
     splitting on its length k gives
     ``periodic_prefix_count(i, n) = sum_k minimal(k, n) * periodic_prefix_count(i-k, n-k)``
-    which is solved here for the minimal count.
+    which is solved here for the minimal count.  Below length n//2 the count
+    stabilizes at ``noninterval_count(i + 1)``.
 
     >>> minimal_prefix_count(5, 10)
     488
     """
+    i, n = as_size(i, "i"), as_size(n)
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
-    total = periodic_prefix_count(i, n)
-    for k in range(1, i):
-        total -= periodic_prefix_count(i - k, n - k) * minimal_prefix_count(k, n)
-    if total <= 0:
-        raise NegativeResult(f"minimal prefix count ({i}, {n}) = {total}")
-    return total
+    return _minimal_row(n)[i]
 
 
-@lru_cache(maxsize=None)
 def noninterval_count(n: int) -> int:
     """Number of permutations of size n with no interval prefix.
 
@@ -67,50 +124,37 @@ def noninterval_count(n: int) -> int:
     >>> [noninterval_count(n) for n in range(2, 8)]
     [2, 2, 8, 44, 296, 2312]
     """
+    n = as_size(n)
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
-    if n == 2:
-        return 2
-    i = n - 1
-    return factorial(i + 1) - sum(
-        noninterval_count(k + 1) * factorial(i - k + 1) for k in range(1, i)
-    )
-
-
-_class_counts = [0, 1, 1, 2]  # index = size; grown in place by class_count
+    return _noninterval_table(n)[n]
 
 
 def class_count(n: int) -> int:
     """Number of super-strong Wilf equivalence classes of S_n.
 
-    Filled bottom-up over the sizes, so no recursion depth limits n.
-
     >>> class_count(10)
     1490564
     """
+    n = as_size(n)
     if n < 1:
         raise OutOfRange(f"defined for n >= 1, got {n}")
     counts = _class_counts
     for m in range(len(counts), n + 1):
-        counts.append(
-            counts[m - 1]
-            + sum(minimal_prefix_count(i, m) * counts[m - i] for i in range(2, m - 1))
-        )
+        row = _minimal_row(m)
+        counts.append(counts[m - 1] + sum(map(mul, row[2:m - 1], counts[m - 2:1:-1])))
     return counts[n]
-
-
-_counts_by_exponent: list[list[int]] = []  # [j][n]; grown by class_count_by_exponent
 
 
 def class_count_by_exponent(j: int, n: int) -> int:
     """Number of classes of S_n with exactly 2**j members.
 
-    Filled bottom-up, one column of sizes per exponent up to j, so no
-    recursion depth limits n.
+    Filled one column of sizes per exponent up to j.
 
     >>> class_count_by_exponent(4, 10)
     3992
     """
+    j, n = as_size(j, "j"), as_size(n)
     if n < 2 or j < 0:
         raise OutOfRange(f"need n >= 2 and j >= 0, got j={j}, n={n}")
     if j == 0 or j > n - 1:
@@ -125,8 +169,9 @@ def class_count_by_exponent(j: int, n: int) -> int:
             elif m <= 3:
                 column.append(1)
             else:
+                row = _minimal_row(m)
                 column.append(columns[e - 1][m - 1] + sum(
-                    minimal_prefix_count(k, m) * column[m - k] for k in range(2, m - e)
+                    map(mul, row[2:m - e], column[m - 2:e:-1])
                 ))
     return columns[j][n]
 
@@ -138,6 +183,7 @@ def shift_class_count(n: int) -> int:
     >>> shift_class_count(5)
     21
     """
+    n = as_size(n)
     if n < 1:
         raise OutOfRange(f"defined for n >= 1, got {n}")
     if n <= 2:

@@ -12,7 +12,6 @@ the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from math import factorial
@@ -21,7 +20,7 @@ from . import kernel
 from .errors import InternalError, LimitExceeded, OutOfRange
 from .pyramid import canonical_key, pyramidal_sequence
 from .shift import enumerate_rigid_shifts
-from .words import reversal
+from .words import as_size, reversal
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
@@ -95,6 +94,7 @@ def bruteforce_ss_partition(
     blocks swept in separate processes; per-block tallies merge by summing
     counts and keeping the least representative.
     """
+    n = as_size(n)
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
@@ -102,6 +102,9 @@ def bruteforce_ss_partition(
     if workers <= 1 or total < 10_000:
         groups = kernel.sweep_block(n, 0, total)
         return _finish_report(n, groups.items())
+    # imported here: the pool costs every other command its start-up time
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = [total * b // workers for b in range(workers + 1)]
     groups: dict[bytes, list[int]] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -135,6 +138,7 @@ def bruteforce_minimal_prefixes(
     """Filter every length-i distinct-letter word over 1..n by the defining
     conditions (periodic complement, no shorter prefix with one), without the
     recursive construction."""
+    i, n = as_size(i, "i"), as_size(n)
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
@@ -158,6 +162,7 @@ def bruteforce_shift_partition(
 ) -> ClassPartitionReport:
     """Partition S_n into orbit closures under rigid shifts (and reversals
     when flagged) by plain breadth-first search, no pyramid involved."""
+    n = as_size(n)
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
     enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
@@ -191,6 +196,7 @@ def check_ss(n_max: int, workers: int = 1, limit: int | None = None) -> list[str
     """Compare swept class counts and histograms against the recurrences."""
     from .counting import class_count, class_count_by_exponent
 
+    n_max = as_size(n_max, "n_max")
     enforce_limit(n_max, limit, DEFAULT_SS_LIMIT)
     mismatches = []
     for n in range(2, n_max + 1):
@@ -216,6 +222,7 @@ def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
     from .counting import minimal_prefix_count
     from .trapezoid import minimal_prefixes
 
+    n_max = as_size(n_max, "n_max")
     enforce_limit(n_max, limit, DEFAULT_SS_LIMIT)
     mismatches = []
     for n in range(3, n_max + 1):
@@ -243,6 +250,7 @@ def check_shift(n_max: int, limit: int | None = None) -> list[str]:
     class count."""
     from .counting import class_count, shift_class_count
 
+    n_max = as_size(n_max, "n_max")
     enforce_limit(n_max, limit, DEFAULT_SHIFT_LIMIT)
     mismatches = []
     for n in range(2, n_max + 1):

@@ -73,7 +73,7 @@ def is_periodic_vector(d: Sequence[int]) -> bool:
     >>> is_periodic_vector((1, 2, 2, 2))
     False
     """
-    return all(e == d[0] for e in d)
+    return not d or d.count(d[0]) == len(d)
 
 
 def _built(cls, levels: tuple[DiffVector, ...]):

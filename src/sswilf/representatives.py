@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import OutOfRange
 from .trapezoid import minimal_prefixes
-from .words import inverse, un_reduce
+from .words import as_size, inverse, un_reduce
 
 Decomposition = tuple[int, tuple[int, ...], tuple[int, ...]]
 
@@ -54,6 +54,7 @@ def inverse_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     >>> inverse_representatives(3)
     ((1, 2, 3), (2, 1, 3))
     """
+    n = as_size(n)
     if n < 1:
         raise OutOfRange(f"defined for n >= 1, got {n}")
     return tuple(w for w, _ in _build(n))
@@ -62,6 +63,7 @@ def inverse_representatives(n: int) -> tuple[tuple[int, ...], ...]:
 def class_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     """Inverses of the assembled words: exactly one permutation per
     super-strong Wilf equivalence class of S_n, in matching order."""
+    n = as_size(n)
     if n < 1:
         raise OutOfRange(f"defined for n >= 1, got {n}")
     return tuple(inverse(w) for w, _ in _build(n))
@@ -70,6 +72,7 @@ def class_representatives(n: int) -> tuple[tuple[int, ...], ...]:
 def decompositions(n: int) -> tuple[tuple[tuple[int, ...], Decomposition], ...]:
     """Each assembled word with its (prefix length, prefix, reduced suffix)
     build record; sizes 1 and 2 carry an empty record."""
+    n = as_size(n)
     if n < 1:
         raise OutOfRange(f"defined for n >= 1, got {n}")
     return _build(n)

@@ -30,10 +30,9 @@ from .pyramid import (
     _built,
     consecutive_differences,
     is_periodic_vector,
-    set_from_differences,
     validate_transition,
 )
-from .words import reduced_form, reversal
+from .words import as_size, reduced_form, reversal
 
 
 def is_periodic_set(values) -> bool:
@@ -47,17 +46,30 @@ def _complement(letters, n: int) -> set[int]:
 
 def _deletion_tower(u: tuple[int, ...], n: int) -> tuple[DiffVector, ...] | None:
     """Gap vectors of 1..n as the letters of ``u`` are deleted, or None
-    unless ``u`` is a minimal prefix: distinct letters, only the top constant."""
+    unless ``u`` is a minimal prefix: distinct letters, only the top constant.
+
+    Each level follows from the one below: deleting an end survivor drops
+    an end gap, deleting an inner one merges its two neighbouring gaps.
+    """
     if n < 3 or not 1 <= len(u) <= n - 2:
         return None
     remaining = list(range(1, n + 1))
-    levels = [(1,) * (n - 1)]
+    level = (1,) * (n - 1)
+    levels = [level]
     for x in u:
-        if x not in remaining:
+        try:
+            p = remaining.index(x)
+        except ValueError:
             return None
-        remaining.remove(x)
-        levels.append(tuple(b - a for a, b in zip(remaining, remaining[1:])))
-        if is_periodic_vector(levels[-1]) != (len(levels) == len(u) + 1):
+        del remaining[p]
+        if p == 0:
+            level = level[1:]
+        elif p == len(level):
+            level = level[:-1]
+        else:
+            level = level[:p - 1] + (level[p - 1] + level[p],) + level[p + 1:]
+        levels.append(level)
+        if is_periodic_vector(level) != (len(levels) == len(u) + 1):
             return None
     return tuple(levels)
 
@@ -65,7 +77,7 @@ def _deletion_tower(u: tuple[int, ...], n: int) -> tuple[DiffVector, ...] | None
 def is_minimal_prefix(u: Sequence[int], n: int) -> bool:
     """Membership test straight from the definition: complement periodic,
     no proper prefix with periodic complement, letters distinct in 1..n."""
-    return _deletion_tower(tuple(u), n) is not None
+    return _deletion_tower(tuple(u), as_size(n)) is not None
 
 
 def _periodic_subsets(size: int, n: int):
@@ -76,7 +88,6 @@ def _periodic_subsets(size: int, n: int):
             yield tuple(range(a, a + gaps * d + 1, d))
 
 
-@lru_cache(maxsize=None)
 def minimal_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The set D of minimal periodic-complement prefixes of length i over
     1..n, sorted lexicographically.
@@ -89,13 +100,19 @@ def minimal_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     >>> minimal_prefixes(2, 5)
     ((2, 1), (2, 4), (4, 2), (4, 5))
     """
+    i, n = as_size(i, "i"), as_size(n)
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
+    return _prefix_set(i, n)
+
+
+@lru_cache(maxsize=None)
+def _prefix_set(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     if i == 1:
         if n == 3:
             return ((1,), (2,), (3,))
         return ((1,), (n,))
-    smaller = [frozenset(minimal_prefixes(j, n)) for j in range(1, i)]
+    smaller = [frozenset(_prefix_set(j, n)) for j in range(1, i)]
     out = []
     for comp in _periodic_subsets(n - i, n):
         letters = sorted(set(range(1, n + 1)) - set(comp))
@@ -164,7 +181,7 @@ def prefix_to_trapezoid(u: Sequence[int], n: int) -> TrapezoidalSequence:
     One walk tests ``u`` and builds its tower, trapezoidal by construction.
     """
     u = tuple(u)
-    levels = _deletion_tower(u, n)
+    levels = _deletion_tower(u, as_size(n))
     if levels is None:
         raise NotAPrefix(f"{u} is not a minimal periodic-complement prefix for n={n}")
     return _built(TrapezoidalSequence, levels)
@@ -173,22 +190,26 @@ def prefix_to_trapezoid(u: Sequence[int], n: int) -> TrapezoidalSequence:
 def trapezoid_to_prefix(t: TrapezoidalSequence) -> tuple[int, ...]:
     """Reverse of :func:`prefix_to_trapezoid`.
 
-    Walk the tower upward keeping the surviving letter set: each level is
-    rebuilt from its gap vector anchored at the current minimum, except when
-    the next level equals the current one with its first gap dropped, which
-    means the minimum itself was deleted and the anchor advances past it.
-    Where the prefix map is two-to-one (height 1), this walk returns the
+    Walk the tower upward keeping the sorted surviving letters.  When the
+    next level is the current one without its first gap, the least survivor
+    was deleted; without its last gap, the greatest; otherwise the first gap
+    where the two differ merged the gaps around the deleted survivor.  Where
+    the prefix map is two-to-one (height 1), this walk returns the
     deleted-minimum reading, i.e. the prefix (1,).
     """
     levels = t.levels
-    survivors = tuple(range(1, t.n + 1))
+    survivors = list(range(1, t.n + 1))
     prefix = []
     for current, nxt in zip(levels, levels[1:]):
-        low = survivors[0]
-        anchor = low + current[0] if nxt == current[1:] else low
-        rebuilt = set_from_differences(anchor, nxt)
-        prefix.append((set(survivors) - set(rebuilt)).pop())
-        survivors = rebuilt
+        if nxt == current[1:]:
+            p = 0
+        elif nxt == current[:-1]:
+            p = len(current)
+        else:
+            p = 1
+            while current[p - 1] == nxt[p - 1]:
+                p += 1
+        prefix.append(survivors.pop(p))
     return tuple(prefix)
 
 
@@ -253,7 +274,7 @@ def noninterval_to_prefix(b: Sequence[int], n: int) -> tuple[int, ...]:
     >>> noninterval_to_prefix((2, 3, 1), 5)
     (4, 5)
     """
-    b = tuple(b)
+    b, n = tuple(b), as_size(n)
     k = len(b) - 1
     if not 1 <= k <= n - 2:
         raise RangeViolation(f"pattern size {k + 1} does not fit inside 1..{n}")

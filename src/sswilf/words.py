@@ -11,6 +11,7 @@ index j when every u_i is dominated by w_{j+i-1}.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -19,10 +20,24 @@ from .errors import (
     MalformedToken,
     MissingLetter,
     NonPositiveLetter,
+    OutOfRange,
     SizeMismatch,
 )
 
 _SEPARATORS = re.compile(r"[,\s]+")
+
+
+def as_size(value, name: str = "n") -> int:
+    """Validate an integer size or length parameter; its range is the
+    caller's to check.
+
+    >>> as_size(5)
+    5
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_word(letters: Iterable[int]) -> tuple[int, ...]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sswilf
 from sswilf.cli import main
 
 
@@ -237,3 +242,17 @@ class TestDeterminism:
         u = as_permutation(payload["permutation"])
         member = as_permutation(payload["canonical_member"])
         assert len(u) == len(member) == 9
+
+
+def test_import_leaves_out_the_process_pool():
+    # only `oracle --workers` above 1 needs a pool; start-up should not pay for it
+    code = (
+        "import sys, sswilf.cli\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1])),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -197,3 +197,52 @@ class TestShiftClassCount:
 def test_source_prints_these_cells():
     printed = tables.PRINTED_DISCREPANCIES
     assert class_count(12) == printed["class_count"][12]
+
+
+def _periodic(i, n):
+    """periodic_prefix_count summed per common difference, as defined."""
+    gaps = n - i - 1
+    return sum(n - d * gaps for d in range(1, (n - 1) // gaps + 1)) * factorial(i)
+
+
+def _plain_recurrence_tables(n_max):
+    """Minimal-prefix cells and class counts by the subtraction recurrence
+    alone, without the stabilization identity."""
+    minimal = {}
+    for n in range(3, n_max + 1):
+        for i in range(1, n - 1):
+            minimal[i, n] = _periodic(i, n) - sum(
+                _periodic(i - k, n - k) * minimal[k, n] for k in range(1, i)
+            )
+    counts = [0, 1, 1, 2]
+    for n in range(4, n_max + 1):
+        counts.append(counts[n - 1] + sum(
+            minimal[i, n] * counts[n - i] for i in range(2, n - 1)
+        ))
+    return minimal, counts
+
+
+class TestAgainstPlainRecurrence:
+    def test_every_minimal_prefix_cell_through_40(self):
+        minimal, _ = _plain_recurrence_tables(40)
+        for (i, n), value in minimal.items():
+            assert minimal_prefix_count(i, n) == value, (i, n)
+
+    def test_class_counts_through_60(self):
+        _, counts = _plain_recurrence_tables(60)
+        for n in range(1, 61):
+            assert class_count(n) == counts[n], n
+
+    def test_double_counting_identity_through_40(self):
+        for n in range(3, 41):
+            for i in range(1, n - 1):
+                assert _periodic(i, n) == sum(
+                    _periodic(i - k, n - k) * minimal_prefix_count(k, n)
+                    for k in range(1, i + 1)
+                ), (i, n)
+
+
+def test_count_identities_at_two_hundred():
+    by_exponent = [class_count_by_exponent(j, 200) for j in range(1, 200)]
+    assert sum(c << j for j, c in enumerate(by_exponent, start=1)) == factorial(200)
+    assert sum(by_exponent) == class_count(200)

@@ -1,8 +1,9 @@
-"""Public calls reject malformed permutations with a UsageError, so the CLI
-keeps exit code 2 for bad input instead of leaking IndexError or ValueError."""
+"""Public calls reject malformed permutations and non-integer sizes with a
+UsageError, so the CLI keeps exit code 2 for bad input instead of leaking
+IndexError, ValueError or TypeError."""
 import pytest
 
-from sswilf import pyramid, shift, words
+from sswilf import counting, oracle, pyramid, representatives, shift, trapezoid, words
 from sswilf.errors import UsageError
 
 BAD_CALLS = {
@@ -19,6 +20,14 @@ BAD_CALLS = {
     "is_strong_shift_equivalent": lambda: shift.is_strong_shift_equivalent((1, 2), (2, 2)),
     "is_shift_equivalent": lambda: shift.is_shift_equivalent((0, 1), (1, 2)),
     "find_witness": lambda: shift.find_witness((1, 2, 3), (3, 1, 1), True),
+    "class_count_float": lambda: counting.class_count(2.5),
+    "class_count_text": lambda: counting.class_count("5"),
+    "minimal_prefix_count_float": lambda: counting.minimal_prefix_count(2.0, 6),
+    "shift_class_count_none": lambda: counting.shift_class_count(None),
+    "minimal_prefixes_float": lambda: trapezoid.minimal_prefixes(2, 5.0),
+    "class_representatives_float": lambda: representatives.class_representatives(3.5),
+    "noninterval_to_prefix_float": lambda: trapezoid.noninterval_to_prefix((2, 3, 1), 5.5),
+    "bruteforce_ss_partition_float": lambda: oracle.bruteforce_ss_partition(4.0),
 }
 
 
