@@ -7,20 +7,36 @@ byte per entry is already the varint encoding.  The compiled twin in
 ``_ckernel`` exposes the same interface; both are limited to n <= 16 where a
 permutation packs into one 64-bit code (4 bits per letter, first letter most
 significant, so integer order equals lexicographic order).
+
+Two things keep the pure walk cheap:
+
+- **Level bytes by position mask.** The level of the letters >= k is fixed by
+  the set of their positions, so its bytes (the gaps, then 0x00) are looked
+  up by the bitmask of those positions in a table that each call fills as
+  masks first occur (at most 2^n of them).  A permutation then costs n-1
+  ``m |= bit[letter]`` steps with one lookup each, and one ``b"".join``.
+  The level of n alone has no gaps and adds no byte, so the walk starts at
+  the level of n and n-1.
+- **Aligned lex runs.** The block is cut into runs, each a fixed head
+  followed by every arrangement of the remaining letters.  A run starts at a
+  rank that is a multiple of (number of free letters)!, so its free letters
+  come out of ``unrank`` ascending and ``itertools.permutations`` yields the
+  run in lexicographic order.  The runs follow one another in that order too,
+  so the first member seen per key is the least in the block.
 """
 from __future__ import annotations
 
-from bisect import insort
+from itertools import permutations
 from math import factorial
 
 MAX_N = 16
 
+# byte value of a letter 1..16 -> hex digit of letter - 1
+_NIBBLES = bytes.maketrans(bytes(range(1, 17)), b"0123456789abcdef")
+
 
 def pack_code(perm) -> int:
-    code = 0
-    for x in perm:
-        code = (code << 4) | (x - 1)
-    return code
+    return int(bytes(perm).translate(_NIBBLES), 16)
 
 
 def unpack_code(code: int, n: int) -> tuple[int, ...]:
@@ -38,19 +54,33 @@ def unrank(n: int, rank: int) -> list[int]:
     return out
 
 
-def _advance(perm: list[int]) -> bool:
-    """In-place lexicographic successor; False once the order wraps."""
-    i = len(perm) - 2
-    while i >= 0 and perm[i] >= perm[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(perm) - 1
-    while perm[j] <= perm[i]:
-        j -= 1
-    perm[i], perm[j] = perm[j], perm[i]
-    perm[i + 1 :] = perm[:i:-1]
-    return True
+class _LevelBytes(dict):
+    """mask of at least two positions -> its gaps as bytes, then 0x00."""
+
+    def __missing__(self, mask: int) -> bytes:
+        positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        entry = bytes(b - a for a, b in zip(positions, positions[1:])) + b"\0"
+        self[mask] = entry
+        return entry
+
+
+def _lex_runs(n: int, start: int, count: int):
+    """Cut ranks [start, start+count) into aligned runs, in order.
+
+    Yields (head, free): the run is head followed by each arrangement of the
+    ascending letters ``free``, (len(free))! ranks starting at a multiple of
+    that factorial.  Each run takes the most free letters that alignment and
+    the end of the block allow.
+    """
+    fact = [factorial(k) for k in range(n + 1)]
+    end = start + count
+    while start < end:
+        k = 0
+        while k < n and start % fact[k + 1] == 0 and start + fact[k + 1] <= end:
+            k += 1
+        perm = unrank(n, start)
+        yield perm[: n - k], perm[n - k :]
+        start += fact[k]
 
 
 def sweep_block(n: int, start: int, count: int) -> dict[bytes, list[int]]:
@@ -67,32 +97,29 @@ def sweep_block(n: int, start: int, count: int) -> dict[bytes, list[int]]:
         raise ValueError("block out of range")
     acc: dict[bytes, list[int]] = {}
     get = acc.get
-    perm = unrank(n, start)
-    pos = [0] * (n + 1)
-    letters_desc = range(n - 1, 0, -1)
-    for _ in range(count):
-        i = 1
-        for x in perm:
-            pos[x] = i
-            i += 1
-        positions = [pos[n]]
-        out = bytearray()
-        append = out.append
-        for letter in letters_desc:
-            insort(positions, pos[letter])
-            prev = positions[0]
-            for q in positions[1:]:
-                append(q - prev)
-                prev = q
-            append(0)
-        key = bytes(out)
-        entry = get(key)
-        if entry is None:
-            code = 0
-            for x in perm:
-                code = (code << 4) | (x - 1)
-            acc[key] = [1, code]
-        else:
-            entry[0] += 1
-        _advance(perm)
+    level = _LevelBytes()
+    join = b"".join
+    bit = [0] * (n + 1)  # bit[letter] = 1 << its position
+    below_n = range(n - 1, 0, -1)
+    for head, free in _lex_runs(n, start, count):
+        for i, x in enumerate(head):
+            bit[x] = 1 << i
+        first = 1 << len(head)
+        head = tuple(head)
+        for tail in permutations(free):
+            b = first
+            for x in tail:
+                bit[x] = b
+                b <<= 1
+            m = bit[n]
+            parts = []
+            for x in below_n:
+                m |= bit[x]
+                parts.append(level[m])
+            key = join(parts)
+            entry = get(key)
+            if entry is None:
+                acc[key] = [1, pack_code(head + tail)]
+            else:
+                entry[0] += 1
     return acc

@@ -12,6 +12,7 @@ the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from math import factorial
@@ -90,11 +91,13 @@ def bruteforce_ss_partition(
 ) -> ClassPartitionReport:
     """Group all of S_n by pyramid key.
 
-    With ``workers`` > 1 the lexicographic order is split into contiguous
-    blocks swept in separate processes; per-block tallies merge by summing
-    counts and keeping the least representative.
+    With ``workers`` > 1 the lexicographic order is split into ``workers``
+    contiguous blocks, swept by a pool of at most one process per CPU;
+    per-block tallies merge by summing counts and keeping the least
+    representative.
     """
     n = as_size(n)
+    workers = as_size(workers, "workers")
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
@@ -107,7 +110,7 @@ def bruteforce_ss_partition(
 
     bounds = [total * b // workers for b in range(workers + 1)]
     groups: dict[bytes, list[int]] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(kernel.sweep_block, n, lo, hi - lo)
             for lo, hi in zip(bounds, bounds[1:])

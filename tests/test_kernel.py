@@ -3,6 +3,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sswilf import _pykernel
 from sswilf.pyramid import canonical_key, pyramidal_sequence
@@ -81,6 +83,52 @@ def test_blocks_merge_to_full_sweep(backend):
     assert {k: tuple(v) for k, v in merged.items()} == {
         k: tuple(v) for k, v in full.items()
     }
+
+
+def test_every_block_of_s4(backend):
+    total = factorial(4)
+    for start in range(total + 1):
+        for count in range(total - start + 1):
+            assert backend.sweep_block(4, start, count) == _library_tally(4, start, count)
+
+
+def test_unaligned_random_blocks(backend):
+    # an odd start is a multiple of no k! with k >= 2, so the walk opens with
+    # short runs before it reaches aligned ones
+    rng = random.Random(7)
+    for n in (7, 8):
+        total = factorial(n)
+        for _ in range(100):
+            count = rng.randint(1, 200)
+            start = rng.randrange(1, total - count + 1, 2)
+            assert backend.sweep_block(n, start, count) == _library_tally(n, start, count)
+
+
+def test_empty_blocks(backend):
+    for n in (2, 5, 9, 16):
+        for start in (0, 1, factorial(n) // 2, factorial(n)):
+            assert backend.sweep_block(n, start, 0) == {}
+
+
+def test_block_ending_at_the_last_permutation(backend):
+    for n, count in ((5, 1), (6, 7), (7, 130), (10, 45), (16, 30)):
+        start = factorial(n) - count
+        assert backend.sweep_block(n, start, count) == _library_tally(n, start, count)
+
+
+@st.composite
+def _blocks(draw):
+    n = draw(st.integers(2, 16))
+    count = draw(st.integers(1, min(50, factorial(n))))
+    start = draw(st.integers(0, factorial(n) - count))
+    return n, start, count
+
+
+@pytest.mark.parametrize("module", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
+@settings(derandomize=True)
+@given(block=_blocks())
+def test_any_block_matches_library(module, block):
+    assert module.sweep_block(*block) == _library_tally(*block)
 
 
 def test_size_bounds(backend):

@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -39,6 +41,38 @@ class TestEquivalencePartition:
         single = bruteforce_ss_partition(6)
         split = bruteforce_ss_partition(6, workers=2)
         assert single == split
+
+    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
+        pools, blocks = [], []
+
+        class InlinePool:
+            """Records the pool size and sweeps each block in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                blocks.append(args)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = bruteforce_ss_partition(8)
+        assert bruteforce_ss_partition(8, workers=1000) == serial
+        assert pools == [2]
+        assert len(blocks) == 1000
+        assert sum(count for _, _, count in blocks) == 40320
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert bruteforce_ss_partition(8, workers=3) == serial
+        assert pools == [2, 1]
 
     def test_representatives_are_least_members(self):
         report = bruteforce_ss_partition(5)

@@ -28,6 +28,7 @@ BAD_CALLS = {
     "class_representatives_float": lambda: representatives.class_representatives(3.5),
     "noninterval_to_prefix_float": lambda: trapezoid.noninterval_to_prefix((2, 3, 1), 5.5),
     "bruteforce_ss_partition_float": lambda: oracle.bruteforce_ss_partition(4.0),
+    "bruteforce_ss_partition_workers_text": lambda: oracle.bruteforce_ss_partition(5, workers="2"),
 }
 
 
