@@ -14,7 +14,7 @@ import sys
 from math import factorial
 
 from . import counting, oracle, representatives, shift, trapezoid, words
-from .errors import InternalError, LimitExceeded, UsageError
+from .errors import InternalError, UsageError
 from .pyramid import (
     canonical_member,
     class_size_exponent,
@@ -234,8 +234,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_reps(args) -> int:
     n = args.n
-    if n > (args.limit if args.limit is not None else _DEFAULT_REPS_LIMIT):
-        raise LimitExceeded(f"n={n} exceeds the listing limit; pass --limit")
+    oracle.enforce_limit(n, args.limit, _DEFAULT_REPS_LIMIT)
     records = representatives.decompositions(n)
     members = [words.inverse(w) if args.invert else w for w, _ in records]
     if args.json:
@@ -339,8 +338,7 @@ def _cmd_table(args) -> int:
         family = ("d", "s", "sh", "sjn")[k - 1]
         return _count_table(family, 12 if args.n_max is None else args.n_max, args)
     n_max = 6 if args.n_max is None else args.n_max
-    if n_max > _DEFAULT_REPS_LIMIT:
-        raise LimitExceeded(f"n={n_max} exceeds the listing limit")
+    oracle.enforce_limit(n_max, None, _DEFAULT_REPS_LIMIT)
     if args.json:
         _emit_json(
             {

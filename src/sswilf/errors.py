@@ -43,11 +43,7 @@ class EmptyPattern(UsageError):
 # -- size and range preconditions ------------------------------------------
 
 class SizeTooSmall(UsageError):
-    """The argument is shorter than the operation requires."""
-
-
-class TooSmall(UsageError):
-    """A set argument has fewer elements than the operation requires."""
+    """The argument has fewer letters or elements than the operation requires."""
 
 
 class SizeMismatch(UsageError):
@@ -67,7 +63,7 @@ class RangeViolation(UsageError):
 
 
 class LimitExceeded(UsageError):
-    """The requested exhaustive sweep exceeds the configured size limit."""
+    """The requested sweep or listing exceeds its size limit."""
 
 
 # -- structural validation ---------------------------------------------------

@@ -53,21 +53,22 @@ class ClassPartitionReport:
 
 def enforce_limit(n: int, limit: int | None, default: int) -> None:
     """Raise ``LimitExceeded`` when n is above ``limit`` (``default`` if None)."""
-    if n > (default if limit is None else limit):
-        raise LimitExceeded(f"n={n} exceeds the size limit; pass a higher limit")
+    bound = default if limit is None else as_size(limit, "limit")
+    if n > bound:
+        raise LimitExceeded(f"n={n} exceeds the size limit {bound}")
 
 
 def _finish_report(n: int, items) -> ClassPartitionReport:
-    """items: iterable of (key, (size, packed least member)) per class."""
+    """items: iterable of (key, (size, least member)) per class."""
     histogram: dict[int, int] = {}
     classes = []
     total = 0
-    for key, (size, code) in items:
+    for key, (size, least) in items:
         j = size.bit_length() - 1
         if 1 << j != size:
             raise InternalError(f"class size {size} is not a power of two")
         histogram[j] = histogram.get(j, 0) + 1
-        classes.append((key, size, kernel.unpack_code(code, n)))
+        classes.append((key, size, least))
         total += size
     if total != factorial(n):
         raise InternalError(f"class sizes sum to {total}, expected {factorial(n)}")
@@ -75,15 +76,15 @@ def _finish_report(n: int, items) -> ClassPartitionReport:
     return ClassPartitionReport(n, len(classes), histogram, tuple(classes))
 
 
-def _merge(into: dict[bytes, list[int]], part: dict[bytes, list[int]]) -> None:
-    for key, (count, code) in part.items():
+def _merge(into: dict[bytes, list], part: dict[bytes, list]) -> None:
+    for key, (count, least) in part.items():
         entry = into.get(key)
         if entry is None:
-            into[key] = [count, code]
+            into[key] = [count, least]
         else:
             entry[0] += count
-            if code < entry[1]:
-                entry[1] = code
+            if least < entry[1]:
+                entry[1] = least
 
 
 def bruteforce_ss_partition(
@@ -109,7 +110,7 @@ def bruteforce_ss_partition(
     from concurrent.futures import ProcessPoolExecutor
 
     bounds = [total * b // workers for b in range(workers + 1)]
-    groups: dict[bytes, list[int]] = {}
+    groups: dict[bytes, list] = {}
     with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(kernel.sweep_block, n, lo, hi - lo)
@@ -189,7 +190,7 @@ def bruteforce_shift_partition(
         # `start` is lexicographically least: S_n is walked in ascending order;
         # the pyramid key only labels the orbit, it plays no part in grouping
         key = canonical_key(pyramidal_sequence(start))
-        entries.append((key, (len(orbit), kernel.pack_code(start))))
+        entries.append((key, (len(orbit), start)))
     return _finish_report(n, entries)
 
 

@@ -15,7 +15,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall, TooSmall
+from .errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall
 from .words import as_permutation, inverse as _inverse
 
 DiffVector = tuple[int, ...]
@@ -29,7 +29,7 @@ def consecutive_differences(values) -> DiffVector:
     """
     xs = sorted(values)
     if len(xs) < 2:
-        raise TooSmall("need at least two elements to take differences")
+        raise SizeTooSmall("need at least two elements to take differences")
     return tuple(b - a for a, b in zip(xs, xs[1:]))
 
 

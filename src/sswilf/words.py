@@ -40,9 +40,18 @@ def as_size(value, name: str = "n") -> int:
         raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
 
 
+def _letters(letters: Iterable[int]) -> tuple[int, ...]:
+    """Freeze letters as exact integers; a float, a string or any other
+    non-integer letter is malformed rather than rounded or parsed."""
+    try:
+        return tuple(map(index, letters))
+    except TypeError:
+        raise MalformedToken(f"letters must be integers, got {letters!r}") from None
+
+
 def as_word(letters: Iterable[int]) -> tuple[int, ...]:
     """Validate and freeze a word (letters may repeat, all must be >= 1)."""
-    w = tuple(int(x) for x in letters)
+    w = _letters(letters)
     for x in w:
         if x < 1:
             raise NonPositiveLetter(f"letter {x} is not a positive integer")
@@ -92,7 +101,7 @@ def parse_permutation(text: str, n_hint: int | None = None) -> tuple[int, ...]:
                 letters.append(int(tok))
             except ValueError:
                 raise MalformedToken(f"token {tok!r} is not an integer") from None
-    elif text.isdigit():
+    elif text.isascii() and text.isdigit():  # "²".isdigit() holds too
         letters = [int(c) for c in text]
     else:
         raise MalformedToken(f"cannot read {text!r} as a permutation")
@@ -122,13 +131,14 @@ def inverse(u: Sequence[int]) -> tuple[int, ...]:
     >>> inverse((5, 9, 2, 7, 3, 8, 1, 6, 4))
     (7, 3, 5, 9, 1, 8, 4, 6, 2)
     """
+    u = _letters(u)
     n = len(u)
     inv = [0] * n
     for i, x in enumerate(u):
         if not 0 < x <= n:
-            raise MissingLetter(f"letters of {tuple(u)} are not exactly 1..{n}")
+            raise MissingLetter(f"letters of {u} are not exactly 1..{n}")
         if inv[x - 1]:
-            raise DuplicateLetter(f"duplicate letter {x} in {tuple(u)}")
+            raise DuplicateLetter(f"duplicate letter {x} in {u}")
         inv[x - 1] = i + 1
     return tuple(inv)
 

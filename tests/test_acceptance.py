@@ -288,7 +288,7 @@ def criterion_12():
     for n in range(2, 9):
         groups = kernel.sweep_block(n, 0, factorial(n))
         total_classes = 0
-        for key, (size, code) in groups.items():
+        for key, (size, _least) in groups.items():
             # validated construction checks the base and every transition
             p = PyramidalSequence(levels_from_key(key))
             j = class_size_exponent(p)

@@ -30,8 +30,10 @@ class TestPyramidCommand:
         assert code == 0 and "empty pyramid" in out
 
     def test_parse_failure_exits_two(self, capsys):
-        code, _, err = run(capsys, "pyramid", "122")
-        assert code == 2 and "error" in err
+        # "²" and "³" pass str.isdigit() but are not ASCII digits
+        for text in ("122", "²", "³21"):
+            code, _, err = run(capsys, "pyramid", text)
+            assert code == 2 and "error" in err, text
 
     def test_json_levels_start_at_the_base(self, capsys):
         code, out, _ = run(capsys, "pyramid", "1324", "--json")

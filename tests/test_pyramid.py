@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sswilf.errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall, TooSmall
+from sswilf.errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall
 from sswilf.pyramid import (
     PyramidalSequence,
     canonical_key,
@@ -43,7 +43,7 @@ class TestDifferences:
         assert consecutive_differences({1, 3, 5, 9}) == (2, 2, 4)
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(SizeTooSmall):
             consecutive_differences({4})
 
     def test_rebuild(self):

@@ -7,7 +7,6 @@ from sswilf.errors import (
     OutOfRange,
     RangeViolation,
     SizeTooSmall,
-    TooSmall,
 )
 from sswilf.pyramid import consecutive_differences, set_from_differences
 from sswilf.trapezoid import (
@@ -51,7 +50,7 @@ class TestPeriodicity:
         assert is_periodic_set({3, 11})
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(SizeTooSmall):
             is_periodic_set({4})
 
 
