@@ -18,6 +18,7 @@ from .errors import InternalError, UsageError
 from .pyramid import (
     canonical_member,
     class_size_exponent,
+    is_ss_equivalent,
     pyramidal_sequence,
 )
 
@@ -32,14 +33,10 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _perm(text: str):
-    return words.parse_permutation(text)
-
-
 # -- pyramid ------------------------------------------------------------------
 
 def _cmd_pyramid(args) -> int:
-    u = _perm(args.perm)
+    u = words.parse_permutation(args.perm)
     n = len(u)
     if n == 1:
         if args.json:
@@ -81,12 +78,12 @@ def _cmd_pyramid(args) -> int:
 # -- count --------------------------------------------------------------------
 
 _FAMILIES = {
-    "s": ("n", counting.class_count, "equivalence classes of S_n"),
-    "sjn": ("jn", counting.class_count_by_exponent, "classes of size 2^j in S_n"),
-    "d": ("in", counting.minimal_prefix_count, "minimal periodic-complement prefixes"),
-    "p": ("in", counting.periodic_prefix_count, "prefixes with periodic complement"),
-    "a": ("n", counting.noninterval_count, "permutations with no interval prefix"),
-    "sh": ("n", counting.shift_class_count, "shift classes of S_n"),
+    "s": ("n", counting.class_count),
+    "sjn": ("jn", counting.class_count_by_exponent),
+    "d": ("in", counting.minimal_prefix_count),
+    "p": ("in", counting.periodic_prefix_count),
+    "a": ("n", counting.noninterval_count),
+    "sh": ("n", counting.shift_class_count),
 }
 
 
@@ -160,7 +157,7 @@ def _count_table(family: str, n_max: int, args) -> int:
 
 def _cmd_count(args) -> int:
     family = args.family
-    kind, fn, _ = _FAMILIES[family]
+    kind, fn = _FAMILIES[family]
     if args.table:
         return _count_table(family, args.n_max, args)
     if args.n is None:
@@ -190,12 +187,10 @@ def _cmd_count(args) -> int:
 # -- equiv --------------------------------------------------------------------
 
 def _cmd_equiv(args) -> int:
-    u = _perm(args.u)
-    v = _perm(args.v)
+    u = words.parse_permutation(args.u)
+    v = words.parse_permutation(args.v)
     relation = args.relation
     if relation == "ss":
-        from .pyramid import is_ss_equivalent
-
         answer = is_ss_equivalent(u, v)
     elif relation == "strong-shift":
         answer = shift.is_strong_shift_equivalent(u, v)
@@ -274,7 +269,7 @@ def _cmd_prefixes(args) -> int:
 # -- shift-orbit --------------------------------------------------------------
 
 def _cmd_shift_orbit(args) -> int:
-    u = _perm(args.perm)
+    u = words.parse_permutation(args.perm)
     orbit = (
         shift.shift_class(u) if args.with_reversals else shift.strong_shift_class(u)
     )

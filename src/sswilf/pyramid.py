@@ -11,8 +11,8 @@ it, serializing it, and rebuilding a class member from it.
 """
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
+from operator import index
 from typing import Sequence
 
 from .errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall
@@ -44,6 +44,50 @@ def set_from_differences(start: int, diffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _deletions(points, n: int):
+    """Yield the gaps of 1..n, then the gaps left after deleting each point
+    in turn.
+
+    This is the one step rule of pyramids and trapezoids.  Deleting the
+    least surviving point drops the first gap; deleting the greatest drops
+    the last gap; deleting an inner point merges its two neighbouring gaps.
+    A point that is not left to delete raises ``ValueError``.
+
+    >>> list(_deletions((3, 1), 5))
+    [(1, 1, 1, 1), (1, 2, 1), (2, 1)]
+    """
+    survivors = list(range(1, n + 1))
+    level = (1,) * (n - 1)
+    yield level
+    for x in points:
+        p = survivors.index(x)
+        del survivors[p]
+        if p == 0:
+            level = level[1:]
+        elif p == len(level):
+            level = level[:-1]
+        else:
+            level = level[: p - 1] + (level[p - 1] + level[p],) + level[p + 1 :]
+        yield level
+
+
+def _step(a: DiffVector, b: DiffVector) -> int | None:
+    """The index p of the surviving point whose deletion turns level ``a``
+    into level ``b`` (see :func:`_deletions`), or None when no step does.
+
+    ``b`` must be one entry shorter than ``a``.  When ``a`` is constant both
+    end drops give ``b``; the left one, p = 0, is returned.
+    """
+    if b == a[1:]:
+        return 0
+    if b == a[:-1]:
+        return len(a)
+    k = 0
+    while b[k] == a[k]:  # stops inside b, as b != a[:-1]
+        k += 1
+    return k + 1 if b[k] == a[k] + a[k + 1] and b[k + 1 :] == a[k + 2 :] else None
+
+
 def validate_transition(a: DiffVector, b: DiffVector) -> bool:
     """True when ``b`` arises from ``a`` by one admissible step.
 
@@ -57,12 +101,7 @@ def validate_transition(a: DiffVector, b: DiffVector) -> bool:
     """
     if len(a) < 2 or len(b) != len(a) - 1:
         raise LengthMismatch(f"cannot step from length {len(a)} to length {len(b)}")
-    if b == a[1:] or b == a[:-1]:
-        return True
-    for k in range(len(b)):
-        if b[k] != a[k]:
-            return b[k] == a[k] + a[k + 1] and b[k + 1 :] == a[k + 2 :]
-    return False
+    return _step(a, b) is not None
 
 
 def is_periodic_vector(d: Sequence[int]) -> bool:
@@ -84,6 +123,24 @@ def _built(cls, levels: tuple[DiffVector, ...]):
     return value
 
 
+def _checked_tower(levels, error) -> tuple[DiffVector, ...]:
+    """The caller's ``levels`` as tuples of ints, checked as a tower of gap
+    vectors: an all-ones base, then levels one entry shorter each, every one
+    reached from the level below by one step.  Raises ``error`` otherwise."""
+    try:
+        levels = tuple(tuple(map(index, level)) for level in levels)
+    except TypeError:
+        raise error(f"levels must be sequences of integers, got {levels!r}") from None
+    if not levels or not levels[0] or levels[0].count(1) != len(levels[0]):
+        raise error(f"the base level must be all ones, got {levels[:1]}")
+    for j, (a, b) in enumerate(zip(levels, levels[1:]), start=1):
+        if len(b) != len(a) - 1:
+            raise error(f"level {j + 1} must have {len(a) - 1} entries, got {b}")
+        if _step(a, b) is None:
+            raise error(f"no admissible step from level {j} {a} to level {j + 1} {b}")
+    return levels
+
+
 @dataclass(frozen=True)
 class PyramidalSequence:
     """Validated stack of difference vectors (levels[0] is the longest).
@@ -95,24 +152,10 @@ class PyramidalSequence:
     levels: tuple[DiffVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(tuple(v) for v in self.levels))
-        levels = self.levels
-        n = len(levels) + 1
-        if n < 2:
-            raise InvalidPyramid("a pyramid has at least one level")
-        if levels[0] != (1,) * (n - 1):
-            raise InvalidPyramid(f"level 1 must be {(1,) * (n - 1)}, got {levels[0]}")
-        for i, level in enumerate(levels, start=1):
-            if len(level) != n - i:
-                raise InvalidPyramid(f"level {i} must have {n - i} entries, got {level}")
-            if any(e < 1 for e in level):
-                raise InvalidPyramid(f"level {i} has a non-positive entry: {level}")
-        for i in range(len(levels) - 1):
-            if not validate_transition(levels[i], levels[i + 1]):
-                raise InvalidPyramid(
-                    f"no admissible step from level {i + 1} {levels[i]} "
-                    f"to level {i + 2} {levels[i + 1]}"
-                )
+        levels = _checked_tower(self.levels, InvalidPyramid)
+        object.__setattr__(self, "levels", levels)
+        if len(levels[-1]) != 1:
+            raise InvalidPyramid(f"the top level must have one entry, got {levels[-1]}")
 
     @property
     def n(self) -> int:
@@ -128,7 +171,8 @@ class PyramidalSequence:
 
 def pyramidal_sequence(u: Sequence[int]) -> PyramidalSequence:
     """The pyramid of ``u``: level i lists the gaps between positions of
-    letters >= i as they occur in ``u`` from left to right.
+    letters >= i as they occur in ``u`` from left to right, so level i + 1
+    is level i with the position of letter i deleted.
 
     ``inverse`` validates ``u``; the levels are a pyramid by construction
     (Hadjiloucas, Michos and Savvidou, 2018), so they are not checked again.
@@ -139,14 +183,7 @@ def pyramidal_sequence(u: Sequence[int]) -> PyramidalSequence:
     n = len(u)
     if n < 2:
         raise SizeTooSmall("pyramids are defined for size >= 2")
-    pos = _inverse(u)
-    positions = [pos[n - 1]]
-    levels: list[DiffVector] = []
-    for i in range(n - 2, -1, -1):
-        insort(positions, pos[i])
-        levels.append(tuple(b - a for a, b in zip(positions, positions[1:])))
-    levels.reverse()
-    return _built(PyramidalSequence, tuple(levels))
+    return _built(PyramidalSequence, tuple(_deletions(_inverse(u)[: n - 2], n)))
 
 
 def is_ss_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
@@ -164,51 +201,37 @@ def is_ss_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
 def class_size_exponent(p: PyramidalSequence) -> int:
     """Exponent j such that the class of ``p`` has exactly 2**j members.
 
-    Each step that shortens a constant vector (d,...,d) to (d,...,d) with the
-    same d can be realized in two ways, doubling the class; the final step
-    down to the empty vector always counts, hence the baseline of 1.
+    A step where both end drops give the next level -- a constant vector
+    (d,...,d) shortened to (d,...,d) with the same d -- can be realized in
+    two ways, doubling the class; the final step down to the empty vector
+    always counts, hence the baseline of 1.
     """
     levels = p.levels
-    j = 1
-    for i in range(len(levels) - 1):
-        a, b = levels[i], levels[i + 1]
-        if is_periodic_vector(a) and is_periodic_vector(b) and a[0] == b[0]:
-            j += 1
-    return j
+    return 1 + sum(b == a[1:] == a[:-1] for a, b in zip(levels, levels[1:]))
 
 
 def canonical_member(p: PyramidalSequence) -> tuple[int, ...]:
     """Rebuild a permutation whose pyramid equals ``p``.
 
-    Letters are placed from n downward.  The top level (d,) fixes letters n-1
-    and n at distance d with n-1 on the left.  Each further letter i is
-    forced by comparing level i with level i+1: a merge at entry k puts i at
-    distance d_1+...+d_k right of the current leftmost letter; a left (right)
-    drop puts i at distance d_1 left of the leftmost (d_last right of the
-    rightmost).  When the two drops coincide -- both levels constant with the
-    same d -- the left placement is chosen, which pins down one member of the
-    class per choice point.
+    Letters are placed from n downward.  Letter i is the point whose
+    deletion (see :func:`_deletions`) turns level i into level i + 1, the
+    level above the top being empty: a left drop puts i at distance d_1 left
+    of the leftmost placed letter, the deletion of the k-th point
+    (k > 0) puts it at distance d_1+...+d_k right of it.  Where both end drops fit -- both levels constant with the
+    same d -- the left one is taken, which pins down one member of the class
+    per choice point.
     """
-    levels = p.levels
-    n = p.n
-    d = levels[-1][0]
-    position = {n - 1: 0, n: d}
-    left, right = 0, d
-    for i in range(n - 2, 0, -1):
+    levels = p.levels + ((),)
+    position = {p.n: 0}
+    left = 0
+    for i in range(p.n - 1, 0, -1):
         a = levels[i - 1]
-        b = levels[i]
-        if b == a[1:]:
-            spot = left - a[0]
-        elif b == a[:-1]:
-            spot = right + a[-1]
-        else:  # a merge at the first entry where the levels differ
-            k = 0
-            while b[k] == a[k]:
-                k += 1
-            spot = left + sum(a[: k + 1])
-        position[i] = spot
-        left = min(left, spot)
-        right = max(right, spot)
+        k = _step(a, levels[i])
+        if k == 0:
+            left -= a[0]
+            position[i] = left
+        else:
+            position[i] = left + sum(a[:k])
     return tuple(sorted(position, key=position.get))
 
 

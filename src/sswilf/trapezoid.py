@@ -28,9 +28,12 @@ from .errors import (
 from .pyramid import (
     DiffVector,
     _built,
+    _checked_tower,
+    _deletions,
+    _step,
     consecutive_differences,
     is_periodic_vector,
-    validate_transition,
+    validate_transition,  # unused here; perfbench/tracing.py counts calls to this name
 )
 from .words import as_size, reduced_form, reversal
 
@@ -45,32 +48,20 @@ def _complement(letters, n: int) -> set[int]:
 
 
 def _deletion_tower(u: tuple[int, ...], n: int) -> tuple[DiffVector, ...] | None:
-    """Gap vectors of 1..n as the letters of ``u`` are deleted, or None
-    unless ``u`` is a minimal prefix: distinct letters, only the top constant.
-
-    Each level follows from the one below: deleting an end survivor drops
-    an end gap, deleting an inner one merges its two neighbouring gaps.
-    """
+    """The levels :func:`~sswilf.pyramid._deletions` gives for ``u`` over
+    1..n, or None unless ``u`` is a minimal prefix: distinct letters, and
+    only the top level after the base constant."""
     if n < 3 or not 1 <= len(u) <= n - 2:
         return None
-    remaining = list(range(1, n + 1))
-    level = (1,) * (n - 1)
-    levels = [level]
-    for x in u:
-        try:
-            p = remaining.index(x)
-        except ValueError:
-            return None
-        del remaining[p]
-        if p == 0:
-            level = level[1:]
-        elif p == len(level):
-            level = level[:-1]
-        else:
-            level = level[:p - 1] + (level[p - 1] + level[p],) + level[p + 1:]
-        levels.append(level)
-        if is_periodic_vector(level) != (len(levels) == len(u) + 1):
-            return None
+    walk = _deletions(u, n)
+    levels = [next(walk)]
+    try:
+        for level in walk:
+            levels.append(level)
+            if is_periodic_vector(level) != (len(levels) == len(u) + 1):
+                return None
+    except ValueError:  # a repeated letter or one outside 1..n
+        return None
     return tuple(levels)
 
 
@@ -92,8 +83,7 @@ def minimal_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The set D of minimal periodic-complement prefixes of length i over
     1..n, sorted lexicographically.
 
-    Built recursively: length-1 prefixes are pinned ({1,2,3} for n=3, else
-    {1, n}); longer prefixes enumerate periodic complements, order the
+    Built recursively: enumerate the periodic complements, order the
     remaining letters in every way, and reject words with a shorter prefix
     already in some D.
 
@@ -108,10 +98,6 @@ def minimal_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _prefix_set(i: int, n: int) -> tuple[tuple[int, ...], ...]:
-    if i == 1:
-        if n == 3:
-            return ((1,), (2,), (3,))
-        return ((1,), (n,))
     smaller = [frozenset(_prefix_set(j, n)) for j in range(1, i)]
     out = []
     for comp in _periodic_subsets(n - i, n):
@@ -134,25 +120,14 @@ class TrapezoidalSequence:
     levels: tuple[DiffVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(tuple(v) for v in self.levels))
-        levels = self.levels
-        n = len(levels[0]) + 1 if levels else 0
-        height = len(levels) - 1
+        levels = _checked_tower(self.levels, InvalidTrapezoid)
+        object.__setattr__(self, "levels", levels)
+        n, height = len(levels[0]) + 1, len(levels) - 1
         if not 1 <= height <= n - 2:
             raise InvalidTrapezoid(f"height {height} out of range for size {n}")
-        if levels[0] != (1,) * (n - 1):
-            raise InvalidTrapezoid(f"base level must be all ones, got {levels[0]}")
-        for j, level in enumerate(levels, start=1):
-            if len(level) != n - j or any(e < 1 for e in level):
-                raise InvalidTrapezoid(f"level {j} malformed: {level}")
-        for j in range(len(levels) - 1):
-            if not validate_transition(levels[j], levels[j + 1]):
-                raise InvalidTrapezoid(
-                    f"no admissible step from {levels[j]} to {levels[j + 1]}"
-                )
         if not is_periodic_vector(levels[-1]):
             raise InvalidTrapezoid(f"top level {levels[-1]} is not constant")
-        for j in range(1, len(levels) - 1):
+        for j in range(1, height):
             if is_periodic_vector(levels[j]):
                 raise InvalidTrapezoid(
                     f"interior level {j + 1} {levels[j]} must not be constant"
@@ -190,27 +165,15 @@ def prefix_to_trapezoid(u: Sequence[int], n: int) -> TrapezoidalSequence:
 def trapezoid_to_prefix(t: TrapezoidalSequence) -> tuple[int, ...]:
     """Reverse of :func:`prefix_to_trapezoid`.
 
-    Walk the tower upward keeping the sorted surviving letters.  When the
-    next level is the current one without its first gap, the least survivor
-    was deleted; without its last gap, the greatest; otherwise the first gap
-    where the two differ merged the gaps around the deleted survivor.  Where
-    the prefix map is two-to-one (height 1), this walk returns the
-    deleted-minimum reading, i.e. the prefix (1,).
+    Walk the tower upward keeping the sorted surviving letters, and delete
+    at each level the survivor whose deletion gives the next level (see
+    :func:`~sswilf.pyramid._deletions`).  Where the prefix map is two-to-one
+    (height 1) both end drops fit and the least survivor is taken, so this
+    walk returns the deleted-minimum reading, i.e. the prefix (1,).
     """
     levels = t.levels
     survivors = list(range(1, t.n + 1))
-    prefix = []
-    for current, nxt in zip(levels, levels[1:]):
-        if nxt == current[1:]:
-            p = 0
-        elif nxt == current[:-1]:
-            p = len(current)
-        else:
-            p = 1
-            while current[p - 1] == nxt[p - 1]:
-                p += 1
-        prefix.append(survivors.pop(p))
-    return tuple(prefix)
+    return tuple(survivors.pop(_step(a, b)) for a, b in zip(levels, levels[1:]))
 
 
 def is_non_interval(b: Sequence[int]) -> bool:

@@ -92,15 +92,14 @@ def parse_permutation(text: str, n_hint: int | None = None) -> tuple[int, ...]:
     if not text:
         raise MalformedToken("empty permutation text")
     if _SEPARATORS.search(text):
-        tokens = _SEPARATORS.split(text)
         letters = []
-        for tok in tokens:
-            if not tok:
+        for tok in _SEPARATORS.split(text):
+            if not tok:  # a leading or trailing comma
                 continue
-            try:
-                letters.append(int(tok))
-            except ValueError:
-                raise MalformedToken(f"token {tok!r} is not an integer") from None
+            # ASCII digits only: int() would also take "٢", "+2" and "1_0"
+            if not (tok.isascii() and tok.isdigit()):
+                raise MalformedToken(f"token {tok!r} is not a number in ASCII digits")
+            letters.append(int(tok))
     elif text.isascii() and text.isdigit():  # "²".isdigit() holds too
         letters = [int(c) for c in text]
     else:

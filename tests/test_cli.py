@@ -30,8 +30,9 @@ class TestPyramidCommand:
         assert code == 0 and "empty pyramid" in out
 
     def test_parse_failure_exits_two(self, capsys):
-        # "²" and "³" pass str.isdigit() but are not ASCII digits
-        for text in ("122", "²", "³21"):
+        # "²", "³" and "٢" pass str.isdigit() but are not ASCII digits;
+        # int() would read "٢", "1_0" and "+2"
+        for text in ("122", "²", "³21", "٢,١", "1_0 1 2 3 4 5 6 7 8 9", "+2 1"):
             code, _, err = run(capsys, "pyramid", text)
             assert code == 2 and "error" in err, text
 

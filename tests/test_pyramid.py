@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -127,6 +128,17 @@ class TestTransitions:
             validate_transition((1, 2), (1, 2))
         with pytest.raises(LengthMismatch):
             validate_transition((3,), ())
+
+    def test_exhaustive_against_the_definition(self):
+        # b follows a exactly when it is a with its first or last entry
+        # dropped or with one adjacent pair summed
+        for length in range(2, 5):
+            for a in product((1, 2, 3), repeat=length):
+                steps = {a[1:], a[:-1]} | {
+                    a[:k] + (a[k] + a[k + 1],) + a[k + 2 :] for k in range(length - 1)
+                }
+                for b in product(range(1, 7), repeat=length - 1):
+                    assert validate_transition(a, b) == (b in steps), (a, b)
 
     def test_every_computed_pyramid_passes(self):
         for n in range(2, 8):

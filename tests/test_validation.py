@@ -1,6 +1,6 @@
-"""Public calls reject malformed permutations and non-integer sizes with a
-UsageError, so the CLI keeps exit code 2 for bad input instead of leaking
-IndexError, ValueError or TypeError."""
+"""Public calls reject malformed permutations, tower levels and non-integer
+sizes with a UsageError, so the CLI keeps exit code 2 for bad input instead
+of leaking IndexError, ValueError or TypeError."""
 import pytest
 
 from sswilf import counting, oracle, pyramid, representatives, shift, trapezoid, words
@@ -34,6 +34,9 @@ BAD_CALLS = {
     "as_permutation_text_letter": lambda: words.as_permutation(["x"]),
     "pyramidal_sequence_float_letter": lambda: pyramid.pyramidal_sequence((1.5, 2)),
     "is_ss_equivalent_float_letter": lambda: pyramid.is_ss_equivalent((1, 2), (2, 1.0)),
+    "PyramidalSequence_float_entry": lambda: pyramid.PyramidalSequence(((1, 1), (2.0,))),
+    "PyramidalSequence_flat_levels": lambda: pyramid.PyramidalSequence((1,)),
+    "TrapezoidalSequence_flat_levels": lambda: trapezoid.TrapezoidalSequence((1, 2)),
 }
 
 

@@ -41,8 +41,13 @@ class TestParse:
         assert parse_permutation("3,1,2") == (3, 1, 2)
 
     def test_malformed_token(self):
-        with pytest.raises(MalformedToken):
-            parse_permutation("1 2 x")
+        # int() would read every token here but "x"
+        for text in ("1 2 x", "٢,١", "1_0 1 2 3 4 5 6 7 8 9", "+2 1", "-1 2"):
+            with pytest.raises(MalformedToken):
+                parse_permutation(text)
+
+    def test_leading_and_trailing_commas(self):
+        assert parse_permutation(",2,1,") == (2, 1)
 
     def test_compact_cannot_carry_two_digit_letters(self):
         # 12 jammed into compact text parses as two letters and fails
