@@ -101,9 +101,11 @@ def bruteforce_ss_partition(
     workers = as_size(workers, "workers")
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
+    if workers < 1:
+        raise OutOfRange(f"workers must be at least 1, got {workers}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     total = factorial(n)
-    if workers <= 1 or total < 10_000:
+    if workers == 1 or total < 10_000:
         groups = kernel.sweep_block(n, 0, total)
         return _finish_report(n, groups.items())
     # imported here: the pool costs every other command its start-up time
@@ -139,26 +141,38 @@ def _periodic_complement_table(n: int) -> bytearray:
 def bruteforce_minimal_prefixes(
     i: int, n: int, limit: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """Filter every length-i distinct-letter word over 1..n by the defining
+    """Filter the distinct-letter words of length i over 1..n by the defining
     conditions (periodic complement, no shorter prefix with one), without the
-    recursive construction."""
+    recursive construction.
+
+    The words grow one letter at a time in lex order.  A shorter word whose
+    complement is periodic is dropped at once, since no extension of it can
+    be minimal; at length i only the words with a periodic complement stay.
+    """
     i, n = as_size(i, "i"), as_size(n)
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     table = _periodic_complement_table(n)
-    out = []
-    last = i - 1
-    for w in _permutations(range(1, n + 1), i):
-        mask = 0
-        for j, x in enumerate(w):
-            mask |= 1 << (x - 1)
-            if table[mask]:
-                if j == last:
-                    out.append(w)
-                break
-        # words whose complement never turns periodic are dropped by the loop
-    return tuple(out)
+
+    def steps(periodic: int) -> list[list[tuple[int, int]]]:
+        """steps[mask] = (letter, mask with it) for each unused letter whose
+        addition leaves a complement that is periodic iff ``periodic``."""
+        return [
+            [
+                (x, mask | 1 << (x - 1))
+                for x in range(1, n + 1)
+                if not mask >> (x - 1) & 1 and table[mask | 1 << (x - 1)] == periodic
+            ]
+            for mask in range(1 << n)
+        ]
+
+    grow, finish = steps(0), steps(1)
+    words: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (word, mask of its letters)
+    for length in range(1, i + 1):
+        step = finish if length == i else grow
+        words = [(w + (x,), m) for w, mask in words for x, m in step[mask]]
+    return tuple(w for w, _ in words)
 
 
 def bruteforce_shift_partition(

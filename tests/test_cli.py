@@ -186,6 +186,12 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--check", "ss", "--n-max", "11")
         assert code == 2
 
+    def test_workers_below_one_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--check", "ss", "--n-max", "5", "--workers", "-2"
+        )
+        assert code == 2 and "workers" in err
+
     def test_limit_refused_before_any_check_runs(self, capsys):
         # prefixes and ss fit n = 8; shift does not, so nothing may run
         code, out, err = run(capsys, "oracle", "--check", "all", "--n-max", "8")

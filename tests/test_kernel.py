@@ -41,7 +41,7 @@ def test_key_matches_library_random_large():
 
 
 def test_sweep_counts_match_direct_grouping():
-    for n in range(2, 7):
+    for n in range(2, 9):
         expected = {}
         for rank, u in enumerate(symmetric_group(n)):
             key = canonical_key(pyramidal_sequence(u))
@@ -52,6 +52,17 @@ def test_sweep_counts_match_direct_grouping():
         assert {k: tuple(v) for k, v in got.items()} == {
             k: tuple(v) for k, v in expected.items()
         }
+
+
+def test_aligned_runs_of_six_to_eight_free_letters():
+    # one run each: a head of n - k letters, then all k! arrangements of the
+    # rest, so the product split works on 3-4 lower and 3-4 upper letters; at
+    # n = 16 the run starting at 0 puts letters 9..16 in the free tail
+    rng = random.Random(12)
+    for n, k in ((12, 6), (14, 7), (16, 8)):
+        run = factorial(k)
+        start = 0 if n == 16 else run * rng.randrange(factorial(n) // run)
+        assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
 
 
 def test_blocks_merge_to_full_sweep():

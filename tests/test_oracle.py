@@ -1,12 +1,14 @@
 import concurrent.futures
 import json
 import os
+from itertools import permutations
 
 import pytest
 
 from sswilf.counting import class_count, class_count_by_exponent, shift_class_count
 from sswilf.errors import LimitExceeded, OutOfRange
 from sswilf.oracle import (
+    _periodic_complement_table,
     bruteforce_minimal_prefixes,
     bruteforce_shift_partition,
     bruteforce_ss_partition,
@@ -121,6 +123,23 @@ class TestMinimalPrefixSweep:
 
     def test_named_cardinality(self):
         assert len(bruteforce_minimal_prefixes(3, 8)) == 8
+
+    def test_same_tuple_as_a_filter_over_every_word(self):
+        # every length-i word, scanned from its first letter until a prefix
+        # leaves a periodic complement: kept only when that prefix is all of it
+        for n in range(3, 9):
+            table = _periodic_complement_table(n)
+            for i in range(1, n - 1):
+                expected = []
+                for w in permutations(range(1, n + 1), i):
+                    mask = 0
+                    for j, x in enumerate(w):
+                        mask |= 1 << (x - 1)
+                        if table[mask]:
+                            if j == i - 1:
+                                expected.append(w)
+                            break
+                assert bruteforce_minimal_prefixes(i, n) == tuple(expected)
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):

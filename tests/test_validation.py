@@ -29,6 +29,8 @@ BAD_CALLS = {
     "noninterval_to_prefix_float": lambda: trapezoid.noninterval_to_prefix((2, 3, 1), 5.5),
     "bruteforce_ss_partition_float": lambda: oracle.bruteforce_ss_partition(4.0),
     "bruteforce_ss_partition_workers_text": lambda: oracle.bruteforce_ss_partition(5, workers="2"),
+    "bruteforce_ss_partition_workers_zero": lambda: oracle.bruteforce_ss_partition(5, workers=0),
+    "bruteforce_ss_partition_workers_negative": lambda: oracle.bruteforce_ss_partition(5, workers=-4),
     "bruteforce_ss_partition_limit_text": lambda: oracle.bruteforce_ss_partition(3, limit="x"),
     "as_permutation_float_letter": lambda: words.as_permutation([1.5, 2]),
     "as_permutation_text_letter": lambda: words.as_permutation(["x"]),
