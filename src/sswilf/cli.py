@@ -2,16 +2,20 @@
 
 Subcommands: pyramid, count, equiv, reps, prefixes, shift-orbit, oracle,
 table.  All output is deterministic; ``--json`` switches every command to a
-stable JSON rendering.  Exit codes: 0 success (or a true answer), 1 semantic
-mismatch (oracle disagreement, or a false answer under ``--strict``),
-2 usage or parse errors, 3 broken internal invariants.
+stable JSON rendering, which is built here and nowhere in the library.  Exit
+codes: 0 success (or a true answer), 1 semantic mismatch (oracle
+disagreement, or a false answer under ``--strict``), 2 usage or parse errors,
+3 broken internal invariants.
+
+One table, ``_FAMILIES``, gives each count family's function, row parameter
+and table domain; ``count``, ``count --table`` and ``table 1``-``4`` all read
+it.  The oracle's default limits come from ``oracle.LIMITS``.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from math import factorial
 
 from . import counting, oracle, representatives, shift, trapezoid, words
 from .errors import InternalError, UsageError
@@ -38,147 +42,92 @@ def _emit_json(payload) -> None:
 def _cmd_pyramid(args) -> int:
     u = words.parse_permutation(args.perm)
     n = len(u)
-    if n == 1:
-        if args.json:
-            _emit_json(
-                {
-                    "permutation": [1],
-                    "levels": [],
-                    "exponent": 0,
-                    "class_size": 1,
-                    "canonical_member": [1],
-                },
-            )
-        else:
-            print("the single-letter permutation has an empty pyramid")
-        return 0
-    p = pyramidal_sequence(u)
-    j = class_size_exponent(p)
-    member = canonical_member(p)
+    if n == 1:  # the single letter has no levels and a class of its own
+        levels, j, member = (), 0, u
+    else:
+        p = pyramidal_sequence(u)
+        levels, j, member = p.levels, class_size_exponent(p), canonical_member(p)
     if args.json:
         _emit_json(
             {
                 "permutation": list(u),
-                "levels": p.to_json(),
+                "levels": [list(v) for v in levels],
                 "exponent": j,
                 "class_size": 2**j,
                 "canonical_member": list(member),
             },
         )
-        return 0
-    print(f"pyramid of {words.format_word(u)} (size {n}):")
-    for i in range(n - 1, 0, -1):
-        gaps = ", ".join(str(e) for e in p.level(i))
-        print(f"  level {i}: ({gaps})")
-    print(f"class size: 2^{j} = {2**j}")
-    print(f"canonical member: {words.format_word(member)}")
+    elif n == 1:
+        print("the single-letter permutation has an empty pyramid")
+    else:
+        print(f"pyramid of {words.format_word(u)} (size {n}):")
+        for i in range(n - 1, 0, -1):
+            gaps = ", ".join(str(e) for e in levels[i - 1])
+            print(f"  level {i}: ({gaps})")
+        print(f"class size: 2^{j} = {2**j}")
+        print(f"canonical member: {words.format_word(member)}")
     return 0
 
 
 # -- count --------------------------------------------------------------------
 
+# family: (fn, row parameter, least n, first row, distance of the last row
+# below n).  With a row parameter a cell is fn(row, n) for rows first..n-below;
+# without one it is fn(n), and the last two entries are unused.
 _FAMILIES = {
-    "s": ("n", counting.class_count),
-    "sjn": ("jn", counting.class_count_by_exponent),
-    "d": ("in", counting.minimal_prefix_count),
-    "p": ("in", counting.periodic_prefix_count),
-    "a": ("n", counting.noninterval_count),
-    "sh": ("n", counting.shift_class_count),
+    "s": (counting.class_count, None, 1, 0, 0),
+    "sh": (counting.shift_class_count, None, 1, 0, 0),
+    "a": (counting.noninterval_count, None, 2, 0, 0),
+    "d": (counting.minimal_prefix_count, "i", 3, 1, 2),
+    "p": (counting.periodic_prefix_count, "i", 3, 0, 2),
+    "sjn": (counting.class_count_by_exponent, "j", 2, 1, 1),
 }
 
 
-def _render_grid(rows, cols, cell, corner) -> None:
-    header = [corner] + [str(c) for c in cols]
-    body = []
-    for r in rows:
-        body.append([str(r)] + [cell(r, c) for c in cols])
-    widths = [max(len(line[k]) for line in [header] + body) for k in range(len(header))]
-    for line in [header] + body:
-        print("  ".join(text.rjust(w) for text, w in zip(line, widths)))
-
-
 def _count_table(family: str, n_max: int, args) -> int:
-    fmt = lambda v: _fmt(v, args)  # noqa: E731
-    if family in ("s", "sh", "a"):
-        start = 2 if family == "a" else 1
-        fn = _FAMILIES[family][1]
-        values = {n: fn(n) for n in range(start, n_max + 1)}
-        if args.json:
-            _emit_json(
-                {"family": family, "values": [
-                    {"n": n, "value": v} for n, v in sorted(values.items())
-                ]},
-            )
-        else:
-            _render_grid(
-                [family], list(range(start, n_max + 1)),
-                lambda r, c: fmt(values[c]), "n",
-            )
-        return 0
-    if family == "d":
-        cells = {
-            (i, n): counting.minimal_prefix_count(i, n)
-            for n in range(3, n_max + 1)
-            for i in range(1, n - 1)
-        }
-        rows = list(range(1, n_max - 1))
-        cols = list(range(3, n_max + 1))
-    elif family == "p":
-        cells = {
-            (i, n): counting.periodic_prefix_count(i, n)
-            for n in range(3, n_max + 1)
-            for i in range(0, n - 1)
-        }
-        rows = list(range(0, n_max - 1))
-        cols = list(range(3, n_max + 1))
-    else:  # sjn
-        cells = {
-            (j, n): counting.class_count_by_exponent(j, n)
-            for n in range(2, n_max + 1)
-            for j in range(1, n)
-        }
-        rows = list(range(1, n_max))
-        cols = list(range(2, n_max + 1))
-    if args.json:
-        _emit_json(
-            {"family": family, "values": [
-                {"i": i, "n": n, "value": v} for (i, n), v in sorted(cells.items())
-            ]},
-        )
+    fn, row, least, first, below = _FAMILIES[family]
+    cols = range(least, n_max + 1)
+    if row is None:
+        rows = [family]
+        cells = {(family, n): fn(n) for n in cols}
     else:
-        label = "j\\n" if family == "sjn" else "i\\n"
-        _render_grid(
-            rows, cols,
-            lambda r, c: fmt(cells[(r, c)]) if (r, c) in cells else "",
-            label,
+        rows = range(first, n_max - below + 1)
+        cells = {(r, n): fn(r, n) for n in cols for r in range(first, n - below + 1)}
+    if args.json:
+        # every row parameter is keyed "i", which readers of the tables rely on
+        _emit_json({"family": family, "values": [
+            {"n": n, "value": v} if row is None else {"i": r, "n": n, "value": v}
+            for (r, n), v in sorted(cells.items())
+        ]})
+        return 0
+    lines = [["n" if row is None else row + "\\n"] + [str(n) for n in cols]]
+    for r in rows:
+        lines.append(
+            [str(r)] + [_fmt(cells[r, n], args) if (r, n) in cells else "" for n in cols]
         )
+    widths = [max(len(text) for text in column) for column in zip(*lines)]
+    for line in lines:
+        print("  ".join(text.rjust(w) for text, w in zip(line, widths)))
     return 0
 
 
 def _cmd_count(args) -> int:
     family = args.family
-    kind, fn = _FAMILIES[family]
     if args.table:
         return _count_table(family, args.n_max, args)
+    fn, row = _FAMILIES[family][:2]
     if args.n is None:
         raise UsageError(f"count {family} needs --n")
-    if kind == "n":
+    payload = {"family": family, "n": args.n}
+    if row is None:
         value = fn(args.n)
-    elif kind == "in":
-        if args.i is None:
-            raise UsageError(f"count {family} needs --i")
-        value = fn(args.i, args.n)
     else:
-        if args.j is None:
-            raise UsageError(f"count {family} needs --j")
-        value = fn(args.j, args.n)
+        payload[row] = getattr(args, row)
+        if payload[row] is None:
+            raise UsageError(f"count {family} needs --{row}")
+        value = fn(payload[row], args.n)
     if args.json:
-        payload = {"family": family, "n": args.n, "value": value}
-        if kind == "in":
-            payload["i"] = args.i
-        if kind == "jn":
-            payload["j"] = args.j
-        _emit_json(payload)
+        _emit_json({**payload, "value": value})
     else:
         print(_fmt(value, args))
     return 0
@@ -292,14 +241,9 @@ def _cmd_shift_orbit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mismatches: list[str] = []
-    limits = {
-        "ss": oracle.DEFAULT_SS_LIMIT,
-        "prefixes": oracle.DEFAULT_SS_LIMIT,
-        "shift": oracle.DEFAULT_SHIFT_LIMIT,
-    }
-    checks = tuple(limits) if args.check == "all" else (args.check,)
+    checks = tuple(oracle.LIMITS) if args.check == "all" else (args.check,)
     for check in checks:  # refuse an oversized run before sweeping anything
-        oracle.enforce_limit(args.n_max, args.limit, limits[check])
+        oracle.enforce_limit(args.n_max, args.limit, oracle.LIMITS[check])
     for check in checks:
         if check == "ss":
             found = oracle.check_ss(args.n_max, workers=args.workers, limit=args.limit)
@@ -420,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common], help="brute force vs recurrences"
     )
-    p.add_argument("--check", choices=("ss", "shift", "prefixes", "all"), default="all")
+    p.add_argument("--check", choices=(*oracle.LIMITS, "all"), default="all")
     p.add_argument("--n-max", type=int, default=7, dest="n_max")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--limit", type=int, help="raise the sweep size guard")

@@ -25,6 +25,12 @@ from .words import as_size, reversal
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
+# the default limit of each check_* cross-check, in the order the CLI runs them
+LIMITS = {
+    "ss": DEFAULT_SS_LIMIT,
+    "prefixes": DEFAULT_SS_LIMIT,
+    "shift": DEFAULT_SHIFT_LIMIT,
+}
 
 
 @dataclass(frozen=True)
@@ -36,19 +42,6 @@ class ClassPartitionReport:
     class_count: int
     size_histogram: dict[int, int]
     classes: tuple[tuple[bytes, int, tuple[int, ...]], ...]
-
-    def to_json(self, include_classes: bool = False) -> dict:
-        out: dict = {
-            "n": self.n,
-            "class_count": self.class_count,
-            "histogram": {str(j): c for j, c in sorted(self.size_histogram.items())},
-        }
-        if include_classes:
-            out["classes"] = [
-                {"key": key.hex(), "size": size, "representative": list(rep)}
-                for key, size, rep in self.classes
-            ]
-        return out
 
 
 def enforce_limit(n: int, limit: int | None, default: int) -> None:

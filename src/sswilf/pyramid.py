@@ -161,13 +161,6 @@ class PyramidalSequence:
     def n(self) -> int:
         return len(self.levels) + 1
 
-    def level(self, i: int) -> DiffVector:
-        """The vector for letters >= i (1-based, i in 1..n-1)."""
-        return self.levels[i - 1]
-
-    def to_json(self) -> list[list[int]]:
-        return [list(v) for v in self.levels]
-
 
 def pyramidal_sequence(u: Sequence[int]) -> PyramidalSequence:
     """The pyramid of ``u``: level i lists the gaps between positions of
@@ -267,6 +260,8 @@ def levels_from_key(key: bytes) -> tuple[DiffVector, ...]:
     shift = 0
     for byte in key:
         if byte == 0 and shift == 0:
+            if not current:
+                raise InvalidPyramid("a pyramid key holds no empty level")
             levels.append(tuple(current))
             current = []
             continue

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import OutOfRange
 from .trapezoid import minimal_prefixes
-from .words import as_size, inverse, un_reduce
+from .words import as_size, inverse
 
 Decomposition = tuple[int, tuple[int, ...], tuple[int, ...]]
 
@@ -43,7 +43,8 @@ def _build(n: int) -> tuple[tuple[tuple[int, ...], Decomposition], ...]:
         for u in _emission_prefixes(i, n):
             alphabet = sorted(full - set(u))
             for tau, _ in _build(n - i):
-                out.append((u + un_reduce(alphabet, tau), (i, u, tau)))
+                # un_reduce(alphabet, tau), without checking parts built here
+                out.append((u + tuple(alphabet[t - 1] for t in tau), (i, u, tau)))
     return tuple(out)
 
 

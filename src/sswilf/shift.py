@@ -29,10 +29,15 @@ class RigidShiftMove:
     offset: int
 
     def __post_init__(self):
-        if self.height < 1:
-            raise InvalidMove(f"cut height must be >= 1, got {self.height}")
-        if self.offset == 0:
-            raise InvalidMove("offset 0 would be the identity move")
+        try:  # a comparison with a non-number raises TypeError
+            if self.height < 1:
+                raise InvalidMove(f"cut height must be >= 1, got {self.height}")
+            if not (self.offset < 0 or self.offset > 0):
+                raise InvalidMove(f"offset {self.offset!r} would not move anything")
+        except TypeError:
+            raise InvalidMove(
+                f"height and offset must be integers, got {self.height!r}, {self.offset!r}"
+            ) from None
 
 
 def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]:

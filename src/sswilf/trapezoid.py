@@ -141,9 +141,6 @@ class TrapezoidalSequence:
     def height(self) -> int:
         return len(self.levels) - 1
 
-    def to_json(self) -> list[list[int]]:
-        return [list(v) for v in self.levels]
-
 
 def prefix_to_trapezoid(u: Sequence[int], n: int) -> TrapezoidalSequence:
     """Delete the letters of ``u`` from 1..n in order, recording the gap

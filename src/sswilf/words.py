@@ -169,7 +169,10 @@ def un_reduce(alphabet: Iterable[int], pattern: Sequence[int]) -> tuple[int, ...
     """Write ``pattern`` using the given alphabet: the unique word over
     ``alphabet`` whose reduced form is ``pattern``.
     """
-    letters = sorted(alphabet)
+    letters = sorted(as_word(alphabet))
+    pattern = as_word(pattern)
+    if len(set(letters)) != len(letters):
+        raise DuplicateLetter(f"repeated letter in the alphabet {tuple(letters)}")
     if len(letters) != len(pattern):
         raise SizeMismatch(
             f"alphabet size {len(letters)} != pattern size {len(pattern)}"
@@ -187,6 +190,7 @@ def weight(w: Sequence[int]) -> tuple[int, int]:
     >>> weight(())
     (0, 0)
     """
+    w = as_word(w)
     return len(w), sum(w)
 
 
@@ -199,6 +203,7 @@ def embedding_set(u: Sequence[int], w: Sequence[int]) -> tuple[int, ...]:
     >>> embedding_set((3, 2, 2), (2, 3, 4, 3, 2, 1, 3, 4, 2, 1))
     (2, 3, 7)
     """
+    u, w = as_word(u), as_word(w)
     if len(u) == 0:
         raise EmptyPattern("the pattern word must be non-empty")
     m, n = len(u), len(w)

@@ -10,6 +10,138 @@ import sswilf
 from sswilf.cli import main
 
 
+# What the count and table commands print, byte for byte; a JSON payload is
+# printed as json.dumps(payload, sort_keys=True).
+GOLDEN_TEXT = {
+    "count s --table --n-max 5": (
+        "n  1  2  3  4   5\n"
+        "s  1  1  2  8  40\n"
+    ),
+    "count sh --table --n-max 5": (
+        " n  1  2  3  4   5\n"
+        "sh  1  1  2  5  21\n"
+    ),
+    "count a --table --n-max 5": (
+        "n  2  3  4   5\n"
+        "a  2  2  8  44\n"
+    ),
+    "count d --table --n-max 5": (
+        "i\\n  3  4   5\n"
+        "  1  3  2   2\n"
+        "  2     6   4\n"
+        "  3        24\n"
+    ),
+    "count p --table --n-max 5": (
+        "i\\n  3   4   5\n"
+        "  0  1   1   1\n"
+        "  1  3   2   2\n"
+        "  2     12   8\n"
+        "  3         60\n"
+    ),
+    "count sjn --table --n-max 5": (
+        "j\\n  2  3  4   5\n"
+        "  1  1  1  6  28\n"
+        "  2     1  1  10\n"
+        "  3        1   1\n"
+        "  4            1\n"
+    ),
+    "count s --n 7": "1860\n",
+    "count sh --n 7": "931\n",
+    "count a --n 7": "2312\n",
+    "count d --i 3 --n 7": "14\n",
+    "count p --i 2 --n 7": "6\n",
+    "count sjn --j 3 --n 7": "62\n",
+    "table 1 --n-max 6": (
+        "i\\n  3  4   5    6\n"
+        "  1  3  2   2    2\n"
+        "  2     6   4    2\n"
+        "  3        24   16\n"
+        "  4            168\n"
+    ),
+    "table 2 --n-max 6": (
+        "n  1  2  3  4   5    6\n"
+        "s  1  1  2  8  40  256\n"
+    ),
+    "table 3 --n-max 6": (
+        " n  1  2  3  4   5    6\n"
+        "sh  1  1  2  5  21  129\n"
+    ),
+    "table 4 --n-max 6": (
+        "j\\n  2  3  4   5    6\n"
+        "  1  1  1  6  28  196\n"
+        "  2     1  1  10   46\n"
+        "  3        1   1   12\n"
+        "  4            1    1\n"
+        "  5                 1\n"
+    ),
+}
+GOLDEN_JSON = {
+    "count s --table --n-max 5": {"family": "s", "values": [
+        {"n": 1, "value": 1}, {"n": 2, "value": 1}, {"n": 3, "value": 2},
+        {"n": 4, "value": 8}, {"n": 5, "value": 40},
+    ]},
+    "count sh --table --n-max 5": {"family": "sh", "values": [
+        {"n": 1, "value": 1}, {"n": 2, "value": 1}, {"n": 3, "value": 2},
+        {"n": 4, "value": 5}, {"n": 5, "value": 21},
+    ]},
+    "count a --table --n-max 5": {"family": "a", "values": [
+        {"n": 2, "value": 2}, {"n": 3, "value": 2}, {"n": 4, "value": 8},
+        {"n": 5, "value": 44},
+    ]},
+    "count d --table --n-max 5": {"family": "d", "values": [
+        {"i": 1, "n": 3, "value": 3}, {"i": 1, "n": 4, "value": 2},
+        {"i": 1, "n": 5, "value": 2}, {"i": 2, "n": 4, "value": 6},
+        {"i": 2, "n": 5, "value": 4}, {"i": 3, "n": 5, "value": 24},
+    ]},
+    "count p --table --n-max 5": {"family": "p", "values": [
+        {"i": 0, "n": 3, "value": 1}, {"i": 0, "n": 4, "value": 1},
+        {"i": 0, "n": 5, "value": 1}, {"i": 1, "n": 3, "value": 3},
+        {"i": 1, "n": 4, "value": 2}, {"i": 1, "n": 5, "value": 2},
+        {"i": 2, "n": 4, "value": 12}, {"i": 2, "n": 5, "value": 8},
+        {"i": 3, "n": 5, "value": 60},
+    ]},
+    # rows keyed "i", not "j": perfbench/workloads.py::_check_table reads c["i"]
+    "count sjn --table --n-max 5": {"family": "sjn", "values": [
+        {"i": 1, "n": 2, "value": 1}, {"i": 1, "n": 3, "value": 1},
+        {"i": 1, "n": 4, "value": 6}, {"i": 1, "n": 5, "value": 28},
+        {"i": 2, "n": 3, "value": 1}, {"i": 2, "n": 4, "value": 1},
+        {"i": 2, "n": 5, "value": 10}, {"i": 3, "n": 4, "value": 1},
+        {"i": 3, "n": 5, "value": 1}, {"i": 4, "n": 5, "value": 1},
+    ]},
+    "count s --n 7": {"family": "s", "n": 7, "value": 1860},
+    "count sh --n 7": {"family": "sh", "n": 7, "value": 931},
+    "count a --n 7": {"family": "a", "n": 7, "value": 2312},
+    "count d --i 3 --n 7": {"family": "d", "i": 3, "n": 7, "value": 14},
+    "count p --i 2 --n 7": {"family": "p", "i": 2, "n": 7, "value": 6},
+    "count sjn --j 3 --n 7": {"family": "sjn", "j": 3, "n": 7, "value": 62},
+    "table 1 --n-max 6": {"family": "d", "values": [
+        {"i": 1, "n": 3, "value": 3}, {"i": 1, "n": 4, "value": 2},
+        {"i": 1, "n": 5, "value": 2}, {"i": 1, "n": 6, "value": 2},
+        {"i": 2, "n": 4, "value": 6}, {"i": 2, "n": 5, "value": 4},
+        {"i": 2, "n": 6, "value": 2}, {"i": 3, "n": 5, "value": 24},
+        {"i": 3, "n": 6, "value": 16}, {"i": 4, "n": 6, "value": 168},
+    ]},
+    "table 2 --n-max 6": {"family": "s", "values": [
+        {"n": 1, "value": 1}, {"n": 2, "value": 1}, {"n": 3, "value": 2},
+        {"n": 4, "value": 8}, {"n": 5, "value": 40}, {"n": 6, "value": 256},
+    ]},
+    "table 3 --n-max 6": {"family": "sh", "values": [
+        {"n": 1, "value": 1}, {"n": 2, "value": 1}, {"n": 3, "value": 2},
+        {"n": 4, "value": 5}, {"n": 5, "value": 21}, {"n": 6, "value": 129},
+    ]},
+    "table 4 --n-max 6": {"family": "sjn", "values": [
+        {"i": 1, "n": 2, "value": 1}, {"i": 1, "n": 3, "value": 1},
+        {"i": 1, "n": 4, "value": 6}, {"i": 1, "n": 5, "value": 28},
+        {"i": 1, "n": 6, "value": 196}, {"i": 2, "n": 3, "value": 1},
+        {"i": 2, "n": 4, "value": 1}, {"i": 2, "n": 5, "value": 10},
+        {"i": 2, "n": 6, "value": 46}, {"i": 3, "n": 4, "value": 1},
+        {"i": 3, "n": 5, "value": 1}, {"i": 3, "n": 6, "value": 12},
+        {"i": 4, "n": 5, "value": 1}, {"i": 4, "n": 6, "value": 1},
+        {"i": 5, "n": 6, "value": 1},
+    ]},
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -45,7 +177,10 @@ class TestPyramidCommand:
     def test_json_singleton(self, capsys):
         code, out, _ = run(capsys, "pyramid", "1", "--json")
         assert code == 0
-        assert json.loads(out)["levels"] == []
+        assert json.loads(out) == {
+            "permutation": [1], "levels": [], "exponent": 0, "class_size": 1,
+            "canonical_member": [1],
+        }
 
 
 class TestCountCommand:
@@ -73,8 +208,12 @@ class TestCountCommand:
         assert code == 2
 
     def test_missing_parameter_exits_two(self, capsys):
-        code, _, err = run(capsys, "count", "d", "--n", "5")
-        assert code == 2
+        for argv, option in (
+            (("s",), "--n"), (("d", "--n", "5"), "--i"), (("p", "--n", "5"), "--i"),
+            (("sjn", "--n", "5"), "--j"), (("sjn", "--j", "2"), "--n"),
+        ):
+            code, out, err = run(capsys, "count", *argv)
+            assert (code, out) == (2, "") and err.endswith(f"needs {option}\n"), argv
 
     def test_json_single(self, capsys):
         code, out, _ = run(capsys, "count", "sh", "--n", "5", "--json")
@@ -84,6 +223,17 @@ class TestCountCommand:
         code, out, _ = run(capsys, "count", "s", "--table", "--n-max", "4", "--json")
         payload = json.loads(out)
         assert payload["values"][-1] == {"n": 4, "value": 8}
+
+
+@pytest.mark.parametrize("command", GOLDEN_TEXT)
+def test_golden_text(capsys, command):
+    assert run(capsys, *command.split()) == (0, GOLDEN_TEXT[command], "")
+
+
+@pytest.mark.parametrize("command", GOLDEN_JSON)
+def test_golden_json(capsys, command):
+    printed = json.dumps(GOLDEN_JSON[command], sort_keys=True) + "\n"
+    assert run(capsys, *command.split(), "--json") == (0, printed, "")
 
 
 class TestEquivCommand:

@@ -1,5 +1,4 @@
 import concurrent.futures
-import json
 import os
 from itertools import permutations
 
@@ -98,14 +97,6 @@ class TestEquivalencePartition:
         with pytest.raises(LimitExceeded):
             bruteforce_ss_partition(5, limit=4)
         assert bruteforce_ss_partition(5, limit=5).class_count == 40
-
-    def test_json_shape(self):
-        report = bruteforce_ss_partition(4)
-        payload = report.to_json(include_classes=True)
-        encoded = json.dumps(payload, sort_keys=True)
-        assert json.loads(encoded)["class_count"] == 8
-        assert all(set(c) == {"key", "size", "representative"}
-                   for c in payload["classes"])
 
 
 class TestMinimalPrefixSweep:

@@ -10,6 +10,17 @@ BAD_CALLS = {
     "inverse": lambda: words.inverse((2, 3)),
     "inverse_repeat": lambda: words.inverse((1, 1)),
     "un_reduce": lambda: words.un_reduce([1, 2], [3, 1]),
+    "un_reduce_repeated_letter": lambda: words.un_reduce((5, 5, 7), (1, 2, 3)),
+    "un_reduce_text_alphabet": lambda: words.un_reduce("ab", (2, 1)),
+    "un_reduce_float_pattern": lambda: words.un_reduce((4, 6), (1.0, 2.0)),
+    "weight_text": lambda: words.weight("ab"),
+    "weight_nonpositive": lambda: words.weight((0, -3)),
+    "embedding_set_text_host": lambda: words.embedding_set((1,), "abc"),
+    "embedding_set_text_pattern": lambda: words.embedding_set("a", (1, 2)),
+    "RigidShiftMove_text_height": lambda: shift.RigidShiftMove("a", 1),
+    "RigidShiftMove_text_offset": lambda: shift.RigidShiftMove(2, "a"),
+    "levels_from_key_empty_level": lambda: pyramid.levels_from_key(b"\x00"),
+    "levels_from_key_empty_inner_level": lambda: pyramid.levels_from_key(b"\x01\x00\x00"),
     "is_ss_equivalent": lambda: pyramid.is_ss_equivalent((1, 4), (2, 1)),
     "is_ss_equivalent_size_one": lambda: pyramid.is_ss_equivalent((5,), (1,)),
     "pyramidal_sequence": lambda: pyramid.pyramidal_sequence((1, 4)),
