@@ -9,7 +9,11 @@ disagreement, or a false answer under ``--strict``), 2 usage or parse errors,
 
 One table, ``_FAMILIES``, gives each count family's function, row parameter
 and table domain; ``count``, ``count --table`` and ``table 1``-``4`` all read
-it.  The oracle's default limits come from ``oracle.LIMITS``.
+it.  The oracle's checks and their default limits come from ``oracle.LIMITS``.
+
+Only the counting recurrences load with this module, since ``_FAMILIES``
+binds them; every other command imports the library module it needs when it
+runs, so starting ``wilf`` pays for that module alone.
 """
 from __future__ import annotations
 
@@ -17,14 +21,8 @@ import argparse
 import json
 import sys
 
-from . import counting, oracle, representatives, shift, trapezoid, words
+from . import counting, words
 from .errors import InternalError, UsageError
-from .pyramid import (
-    canonical_member,
-    class_size_exponent,
-    is_ss_equivalent,
-    pyramidal_sequence,
-)
 
 _DEFAULT_REPS_LIMIT = 9
 
@@ -45,8 +43,11 @@ def _cmd_pyramid(args) -> int:
     if n == 1:  # the single letter has no levels and a class of its own
         levels, j, member = (), 0, u
     else:
-        p = pyramidal_sequence(u)
-        levels, j, member = p.levels, class_size_exponent(p), canonical_member(p)
+        from . import pyramid
+
+        p = pyramid.pyramidal_sequence(u)
+        levels, j = p.levels, pyramid.class_size_exponent(p)
+        member = pyramid.canonical_member(p)
     if args.json:
         _emit_json(
             {
@@ -139,15 +140,20 @@ def _cmd_equiv(args) -> int:
     u = words.parse_permutation(args.u)
     v = words.parse_permutation(args.v)
     relation = args.relation
-    if relation == "ss":
-        answer = is_ss_equivalent(u, v)
-    elif relation == "strong-shift":
-        answer = shift.is_strong_shift_equivalent(u, v)
-    else:
-        answer = shift.is_shift_equivalent(u, v)
     witness = None
-    if args.witness and answer and relation in ("strong-shift", "shift"):
-        witness = shift.find_witness(u, v, with_reversals=relation == "shift")
+    if relation == "ss":
+        from . import pyramid
+
+        answer = pyramid.is_ss_equivalent(u, v)
+    else:
+        from . import shift
+
+        if relation == "strong-shift":
+            answer = shift.is_strong_shift_equivalent(u, v)
+        else:
+            answer = shift.is_shift_equivalent(u, v)
+        if args.witness and answer:
+            witness = shift.find_witness(u, v, with_reversals=relation == "shift")
     if args.json:
         payload = {
             "u": list(u),
@@ -177,8 +183,10 @@ def _cmd_equiv(args) -> int:
 # -- reps ---------------------------------------------------------------------
 
 def _cmd_reps(args) -> int:
+    from . import representatives
+
     n = args.n
-    oracle.enforce_limit(n, args.limit, _DEFAULT_REPS_LIMIT)
+    words.enforce_limit(n, args.limit, _DEFAULT_REPS_LIMIT)
     records = representatives.decompositions(n)
     members = [words.inverse(w) if args.invert else w for w, _ in records]
     if args.json:
@@ -204,6 +212,8 @@ def _cmd_reps(args) -> int:
 # -- prefixes -----------------------------------------------------------------
 
 def _cmd_prefixes(args) -> int:
+    from . import trapezoid
+
     members = trapezoid.minimal_prefixes(args.i, args.n)
     if args.json:
         _emit_json(
@@ -218,6 +228,8 @@ def _cmd_prefixes(args) -> int:
 # -- shift-orbit --------------------------------------------------------------
 
 def _cmd_shift_orbit(args) -> int:
+    from . import shift
+
     u = words.parse_permutation(args.perm)
     orbit = (
         shift.shift_class(u) if args.with_reversals else shift.strong_shift_class(u)
@@ -240,10 +252,18 @@ def _cmd_shift_orbit(args) -> int:
 # -- oracle -------------------------------------------------------------------
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
+    if args.check == "all":
+        checks = tuple(oracle.LIMITS)
+    elif args.check in oracle.LIMITS:
+        checks = (args.check,)
+    else:
+        names = ", ".join((*oracle.LIMITS, "all"))
+        raise UsageError(f"unknown check {args.check!r}; choose from {names}")
     mismatches: list[str] = []
-    checks = tuple(oracle.LIMITS) if args.check == "all" else (args.check,)
     for check in checks:  # refuse an oversized run before sweeping anything
-        oracle.enforce_limit(args.n_max, args.limit, oracle.LIMITS[check])
+        words.enforce_limit(args.n_max, args.limit, oracle.LIMITS[check])
     for check in checks:
         if check == "ss":
             found = oracle.check_ss(args.n_max, workers=args.workers, limit=args.limit)
@@ -276,8 +296,10 @@ def _cmd_table(args) -> int:
     if k <= 4:
         family = ("d", "s", "sh", "sjn")[k - 1]
         return _count_table(family, 12 if args.n_max is None else args.n_max, args)
+    from . import representatives
+
     n_max = 6 if args.n_max is None else args.n_max
-    oracle.enforce_limit(n_max, None, _DEFAULT_REPS_LIMIT)
+    words.enforce_limit(n_max, None, _DEFAULT_REPS_LIMIT)
     if args.json:
         _emit_json(
             {
@@ -364,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common], help="brute force vs recurrences"
     )
-    p.add_argument("--check", choices=(*oracle.LIMITS, "all"), default="all")
+    # checked against oracle.LIMITS when the command runs, not on every start
+    p.add_argument("--check", default="all", help="the cross-check to run (default: all)")
     p.add_argument("--n-max", type=int, default=7, dest="n_max")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--limit", type=int, help="raise the sweep size guard")

@@ -13,15 +13,15 @@ the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations as _permutations
 from math import factorial
 
 from . import kernel
-from .errors import InternalError, LimitExceeded, OutOfRange
+from .errors import InternalError, OutOfRange
 from .pyramid import canonical_key, pyramidal_sequence
 from .shift import enumerate_rigid_shifts
-from .words import as_size, reversal
+from .words import as_size, enforce_limit, reversal
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
@@ -33,22 +33,14 @@ LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class ClassPartitionReport:
-    """Partition of S_n: class count, histogram of log2 sizes, and per class
-    the grouping key, size, and lexicographically least member."""
+class ClassPartitionReport(
+    namedtuple("ClassPartitionReport", "n class_count size_histogram classes")
+):
+    """Partition of S_n: class count, histogram of log2 sizes ({j: classes
+    of size 2^j}), and per class the grouping key, size, and
+    lexicographically least member."""
 
-    n: int
-    class_count: int
-    size_histogram: dict[int, int]
-    classes: tuple[tuple[bytes, int, tuple[int, ...]], ...]
-
-
-def enforce_limit(n: int, limit: int | None, default: int) -> None:
-    """Raise ``LimitExceeded`` when n is above ``limit`` (``default`` if None)."""
-    bound = default if limit is None else as_size(limit, "limit")
-    if n > bound:
-        raise LimitExceeded(f"n={n} exceeds the size limit {bound}")
+    __slots__ = ()
 
 
 def _finish_report(n: int, items) -> ClassPartitionReport:

@@ -11,7 +11,6 @@ it, serializing it, and rebuilding a class member from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Sequence
 
@@ -141,21 +140,43 @@ def _checked_tower(levels, error) -> tuple[DiffVector, ...]:
     return levels
 
 
-@dataclass(frozen=True)
-class PyramidalSequence:
+class _Tower:
+    """An immutable stack of levels, set once by the subclass constructor
+    (or by :func:`_built`); equal to a value of the same class with the same
+    levels, and hashed by them."""
+
+    levels: tuple[DiffVector, ...]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.levels == other.levels
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.levels,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(levels={self.levels!r})"
+
+
+class PyramidalSequence(_Tower):
     """Validated stack of difference vectors (levels[0] is the longest).
 
     The constructor checks the caller's levels; :func:`pyramidal_sequence`
     skips it, since the pyramid of a permutation is valid by construction.
     """
 
-    levels: tuple[DiffVector, ...]
-
-    def __post_init__(self):
-        levels = _checked_tower(self.levels, InvalidPyramid)
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, levels):
+        levels = _checked_tower(levels, InvalidPyramid)
         if len(levels[-1]) != 1:
             raise InvalidPyramid(f"the top level must have one entry, got {levels[-1]}")
+        object.__setattr__(self, "levels", levels)
 
     @property
     def n(self) -> int:
@@ -253,13 +274,19 @@ def canonical_key(p: PyramidalSequence) -> bytes:
 
 
 def levels_from_key(key: bytes) -> tuple[DiffVector, ...]:
-    """Decode :func:`canonical_key` output back into bottom-first levels."""
+    """Decode :func:`canonical_key` output back into bottom-first levels.
+
+    Any other bytes raise ``InvalidPyramid``: a 0x00 byte that ends a varint
+    would make it overlong or zero, and a key holds at least one level.
+    """
     levels: list[DiffVector] = []
     current: list[int] = []
     value = 0
     shift = 0
     for byte in key:
-        if byte == 0 and shift == 0:
+        if byte == 0:
+            if shift:
+                raise InvalidPyramid("a pyramid key holds no overlong or zero entry")
             if not current:
                 raise InvalidPyramid("a pyramid key holds no empty level")
             levels.append(tuple(current))
@@ -272,7 +299,7 @@ def levels_from_key(key: bytes) -> tuple[DiffVector, ...]:
             current.append(value)
             value = 0
             shift = 0
-    if current or shift:
+    if current or shift or not levels:
         raise InvalidPyramid("truncated pyramid key")
     levels.reverse()
     return tuple(levels)

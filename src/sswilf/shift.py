@@ -14,30 +14,30 @@ own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import InvalidMove, SizeMismatch
 from .words import as_permutation, identity, reversal
 
 
-@dataclass(frozen=True, order=True)
-class RigidShiftMove:
-    """Cut height and common offset of one rigid shift (offset never 0)."""
+class RigidShiftMove(namedtuple("RigidShiftMove", "height offset")):
+    """Cut height and common offset of one rigid shift (offset never 0);
+    moves order by (height, offset)."""
 
-    height: int
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, height: int, offset: int):
         try:  # a comparison with a non-number raises TypeError
-            if self.height < 1:
-                raise InvalidMove(f"cut height must be >= 1, got {self.height}")
-            if not (self.offset < 0 or self.offset > 0):
-                raise InvalidMove(f"offset {self.offset!r} would not move anything")
+            if height < 1:
+                raise InvalidMove(f"cut height must be >= 1, got {height}")
+            if not (offset < 0 or offset > 0):
+                raise InvalidMove(f"offset {offset!r} would not move anything")
         except TypeError:
             raise InvalidMove(
-                f"height and offset must be integers, got {self.height!r}, {self.offset!r}"
+                f"height and offset must be integers, got {height!r}, {offset!r}"
             ) from None
+        return tuple.__new__(cls, (height, offset))
 
 
 def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]:
@@ -56,13 +56,13 @@ def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]
 
 def _apply(u: tuple[int, ...], move: RigidShiftMove) -> tuple[int, ...]:
     n = len(u)
-    h = move.height
+    h, offset = move
     if h > n:
         raise InvalidMove(f"cut height {h} exceeds the diagram height {n}")
     received = {}
     for i, x in enumerate(u):
         if x > h:
-            t = i + move.offset
+            t = i + offset
             if not 0 <= t < n:
                 raise InvalidMove(f"column {i + 1} would leave the diagram")
             if u[t] < h:

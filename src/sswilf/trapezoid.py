@@ -12,7 +12,6 @@ live here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations
 from typing import Sequence
@@ -27,6 +26,7 @@ from .errors import (
 )
 from .pyramid import (
     DiffVector,
+    _Tower,
     _built,
     _checked_tower,
     _deletions,
@@ -108,8 +108,7 @@ def _prefix_set(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class TrapezoidalSequence:
+class TrapezoidalSequence(_Tower):
     """Validated initial tower (levels[0] longest) whose top level is the
     only constant vector apart from the all-ones base.
 
@@ -117,11 +116,8 @@ class TrapezoidalSequence:
     skips it, since a minimal prefix's deletion tower is trapezoidal.
     """
 
-    levels: tuple[DiffVector, ...]
-
-    def __post_init__(self):
-        levels = _checked_tower(self.levels, InvalidTrapezoid)
-        object.__setattr__(self, "levels", levels)
+    def __init__(self, levels):
+        levels = _checked_tower(levels, InvalidTrapezoid)
         n, height = len(levels[0]) + 1, len(levels) - 1
         if not 1 <= height <= n - 2:
             raise InvalidTrapezoid(f"height {height} out of range for size {n}")
@@ -132,6 +128,7 @@ class TrapezoidalSequence:
                 raise InvalidTrapezoid(
                     f"interior level {j + 1} {levels[j]} must not be constant"
                 )
+        object.__setattr__(self, "levels", levels)
 
     @property
     def n(self) -> int:

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateLetter,
     EmptyPattern,
+    LimitExceeded,
     MalformedToken,
     MissingLetter,
     NonPositiveLetter,
@@ -38,6 +39,13 @@ def as_size(value, name: str = "n") -> int:
         return index(value)
     except TypeError:
         raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+
+
+def enforce_limit(n: int, limit: int | None, default: int) -> None:
+    """Raise ``LimitExceeded`` when n is above ``limit`` (``default`` if None)."""
+    bound = default if limit is None else as_size(limit, "limit")
+    if n > bound:
+        raise LimitExceeded(f"n={n} exceeds the size limit {bound}")
 
 
 def _letters(letters: Iterable[int]) -> tuple[int, ...]:

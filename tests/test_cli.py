@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -347,11 +348,20 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "--check", "all", "--n-max", "8")
         assert code == 2 and out == "" and "error" in err
 
+    def test_unknown_check_exits_two(self, capsys, monkeypatch):
+        from sswilf import oracle
+
+        for check in oracle.LIMITS:
+            monkeypatch.setattr(oracle, f"check_{check}", None)  # running one would raise
+        code, out, err = run(capsys, "oracle", "--check", "bogus")
+        assert code == 2 and out == "" and "bogus" in err
+        assert all(check in err for check in oracle.LIMITS)
+
     def test_disagreement_exits_one(self, capsys, monkeypatch):
-        from sswilf import cli
+        from sswilf import oracle
 
         monkeypatch.setattr(
-            cli.oracle, "check_ss", lambda n_max, workers, limit: ["n=4: fake"]
+            oracle, "check_ss", lambda n_max, workers, limit: ["n=4: fake"]
         )
         code, out, _ = run(capsys, "oracle", "--check", "ss", "--n-max", "4")
         assert code == 1 and "MISMATCH" in out
@@ -403,15 +413,45 @@ class TestDeterminism:
         assert len(u) == len(member) == 9
 
 
+LOADED_BY = """
+import json, sys
+before = set(sys.modules)
+import sswilf.cli
+loaded = {"import": sorted(set(sys.modules) - before)}
+for argv in (["pyramid", "213"], ["count", "s", "--n", "5"],
+             ["equiv", "213", "123", "--relation", "ss"]):
+    before = set(sys.modules)
+    sswilf.cli.main(argv)
+    loaded[argv[0]] = sorted(set(sys.modules) - before)
+print(json.dumps(loaded))
+"""
+
+
 def test_import_leaves_out_the_process_pool():
-    # only `oracle --workers` above 1 needs a pool; start-up should not pay for it
-    code = (
-        "import sys, sswilf.cli\n"
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
-    )
+    # only `oracle --workers` above 1 needs a pool; start-up should not pay for it.
+    # Each command loads the library module it runs, and nothing else.
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", LOADED_BY], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1])),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    loaded = json.loads(done.stdout.splitlines()[-1])  # after the commands' own output
+    started = set(loaded["import"])
+    assert not started & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect"}
+    assert {m for m in started if m.startswith("sswilf")} == {
+        "sswilf", "sswilf.cli", "sswilf.counting", "sswilf.errors", "sswilf.words",
+    }
+    ours = {cmd: [m for m in mods if m.startswith("sswilf")] for cmd, mods in loaded.items()}
+    assert ours["pyramid"] == ["sswilf.pyramid"]
+    assert ours["count"] == []
+    assert "sswilf.shift" not in ours["equiv"]
+    # nor does any command, later, pay for dataclasses and the inspect it loads
+    for path in Path(sswilf.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name

@@ -21,6 +21,9 @@ BAD_CALLS = {
     "RigidShiftMove_text_offset": lambda: shift.RigidShiftMove(2, "a"),
     "levels_from_key_empty_level": lambda: pyramid.levels_from_key(b"\x00"),
     "levels_from_key_empty_inner_level": lambda: pyramid.levels_from_key(b"\x01\x00\x00"),
+    "levels_from_key_zero_entry": lambda: pyramid.levels_from_key(b"\x80\x00\x00"),
+    "levels_from_key_overlong_entry": lambda: pyramid.levels_from_key(b"\x81\x00\x00"),
+    "levels_from_key_empty_key": lambda: pyramid.levels_from_key(b""),
     "is_ss_equivalent": lambda: pyramid.is_ss_equivalent((1, 4), (2, 1)),
     "is_ss_equivalent_size_one": lambda: pyramid.is_ss_equivalent((5,), (1,)),
     "pyramidal_sequence": lambda: pyramid.pyramidal_sequence((1, 4)),
