@@ -389,7 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     # checked against oracle.LIMITS when the command runs, not on every start
     p.add_argument("--check", default="all", help="the cross-check to run (default: all)")
     p.add_argument("--n-max", type=int, default=7, dest="n_max")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="sweep S_n in this many blocks on a process pool (default: 1); "
+        "on 2 CPUs more than 1 is slower, as the parent merges every block",
+    )
     p.add_argument("--limit", type=int, help="raise the sweep size guard")
     p.set_defaults(func=_cmd_oracle)
 

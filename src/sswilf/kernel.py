@@ -34,8 +34,11 @@ key byte.
   the least ``b`` arrangement.  Arrangements of ascending letters on
   ascending positions come out of ``itertools.permutations`` in lex order,
   so the first one seen per part is its least.  A key met under several M,
-  or in several runs, keeps the smaller value; each class's value is turned
-  back into a tuple once, at the end.
+  or in several runs, keeps the smaller value.  That value is what the
+  block returns as the class's least member, its base-256 code: the caller
+  turns it into a tuple (``tuple(v.to_bytes(n, "big"))``) only when it
+  writes the class out, so a block's table holds one int per class and no
+  tuple.
 
 The split at k // 2 balances the halves.  A run of k free letters with h of
 them lower walks C(k, h) * (h! + (k-h)!) arrangements, and that is least at
@@ -95,8 +98,10 @@ def _lex_runs(n: int, start: int, count: int):
 def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
     """Aggregate ``count`` permutations of S_n starting at lex index ``start``.
 
-    Returns {pyramid key: [class member count, lex-least member as a tuple]}.
-    Block results merge by summing counts and taking the smaller tuple.
+    Returns {pyramid key: [class member count, code of the lex-least
+    member]}, where the code of u is sum of u[p] * 256^(n-1-p), so numeric
+    order is lex order.  Block results merge by summing counts and taking the
+    smaller code.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"kernel supports sizes 2..{MAX_N}, got {n}")
@@ -161,6 +166,4 @@ def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
                         entry[0] += ca * cb
                         if value < entry[1]:
                             entry[1] = value
-    for entry in acc.values():
-        entry[1] = tuple(entry[1].to_bytes(n, "big"))
     return acc

@@ -43,18 +43,29 @@ class ClassPartitionReport(
     __slots__ = ()
 
 
-def _finish_report(n: int, items) -> ClassPartitionReport:
-    """items: iterable of (key, (size, least member)) per class."""
+def _finish_report(n: int, table: dict) -> ClassPartitionReport:
+    """Drain ``table``, {key: [class size, code of its least member]} with
+    the code of u being sum of u[p] * 256^(n-1-p) as ``kernel.sweep_block``
+    gives it, into the report.
+
+    Classes leave the table one at a time, in insertion order, and each code
+    becomes a tuple only as its row is written, so the table and the rows are
+    never held whole at once.  The table is empty, and cleared, before the
+    rows are sorted by least member.
+    """
     histogram: dict[int, int] = {}
     classes = []
     total = 0
-    for key, (size, least) in items:
+    pop = table.pop
+    for key in list(table):
+        size, code = pop(key)
         j = size.bit_length() - 1
         if 1 << j != size:
             raise InternalError(f"class size {size} is not a power of two")
         histogram[j] = histogram.get(j, 0) + 1
-        classes.append((key, size, least))
+        classes.append((key, size, tuple(code.to_bytes(n, "big"))))
         total += size
+    table.clear()
     if total != factorial(n):
         raise InternalError(f"class sizes sum to {total}, expected {factorial(n)}")
     classes.sort(key=lambda item: item[2])
@@ -78,9 +89,11 @@ def bruteforce_ss_partition(
     """Group all of S_n by pyramid key.
 
     With ``workers`` > 1 the lexicographic order is split into ``workers``
-    contiguous blocks, swept by a pool of at most one process per CPU;
-    per-block tallies merge by summing counts and keeping the least
-    representative.
+    contiguous blocks (at most n!, one permutation each), swept by a pool of
+    at most one process per CPU; per-block tallies merge by summing counts
+    and keeping the least representative.  On a 2-CPU machine two workers
+    are slower than one: the parent process unpickles and merges every
+    block's table on its own, and that costs more than the sweep it shares.
     """
     n = as_size(n)
     workers = as_size(workers, "workers")
@@ -90,36 +103,36 @@ def bruteforce_ss_partition(
         raise OutOfRange(f"workers must be at least 1, got {workers}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     total = factorial(n)
-    if workers == 1 or total < 10_000:
-        groups = kernel.sweep_block(n, 0, total)
-        return _finish_report(n, groups.items())
+    blocks = min(workers, total)
+    if blocks == 1:
+        return _finish_report(n, kernel.sweep_block(n, 0, total))
     # imported here: the pool costs every other command its start-up time
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [total * b // workers for b in range(workers + 1)]
+    bounds = [total * b // blocks for b in range(blocks + 1)]
     groups: dict[bytes, list] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+    with ProcessPoolExecutor(max_workers=min(blocks, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(kernel.sweep_block, n, lo, hi - lo)
             for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
         ]
         for future in futures:
             _merge(groups, future.result())
-    return _finish_report(n, groups.items())
+    return _finish_report(n, groups)
 
 
 def _periodic_complement_table(n: int) -> bytearray:
     """table[mask of used letters] = 1 iff the unused letters form an
-    arithmetic progression (needs at least two of them)."""
+    arithmetic progression (needs at least two of them).  Each progression
+    a, a + d, ..., of at least two terms in 1..n marks its complement."""
     full = (1 << n) - 1
     table = bytearray(1 << n)
-    for mask in range(1 << n):
-        comp = full & ~mask
-        xs = [k + 1 for k in range(n) if comp >> k & 1]
-        if len(xs) >= 2:
-            first = xs[1] - xs[0]
-            table[mask] = int(all(b - a == first for a, b in zip(xs, xs[1:])))
+    for d in range(1, n):
+        for a in range(1, n - d + 1):
+            progression = 1 << (a - 1)
+            for x in range(a + d, n + 1, d):
+                progression |= 1 << (x - 1)
+                table[full & ~progression] = 1
     return table
 
 
@@ -133,30 +146,31 @@ def bruteforce_minimal_prefixes(
     The words grow one letter at a time in lex order.  A shorter word whose
     complement is periodic is dropped at once, since no extension of it can
     be minimal; at length i only the words with a periodic complement stay.
+    Each length lists the letters that may follow only for the letter sets
+    its words hold, so a call does work in proportion to the words it meets.
     """
     i, n = as_size(i, "i"), as_size(n)
     if n < 3 or not 1 <= i <= n - 2:
         raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     table = _periodic_complement_table(n)
-
-    def steps(periodic: int) -> list[list[tuple[int, int]]]:
-        """steps[mask] = (letter, mask with it) for each unused letter whose
-        addition leaves a complement that is periodic iff ``periodic``."""
-        return [
-            [
+    # step[mask] = (letter, mask with it) for each unused letter whose addition
+    # leaves a complement that is periodic at length i and aperiodic before;
+    # the masks of one length all hold that many letters, so lengths never
+    # share an entry
+    step: list = [None] * (1 << n)
+    words: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (word, mask of its letters)
+    masks = {0}  # the masks the words hold: each mask reached is held by a word
+    for length in range(1, i + 1):
+        periodic = length == i
+        for mask in masks:
+            step[mask] = [
                 (x, mask | 1 << (x - 1))
                 for x in range(1, n + 1)
                 if not mask >> (x - 1) & 1 and table[mask | 1 << (x - 1)] == periodic
             ]
-            for mask in range(1 << n)
-        ]
-
-    grow, finish = steps(0), steps(1)
-    words: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (word, mask of its letters)
-    for length in range(1, i + 1):
-        step = finish if length == i else grow
         words = [(w + (x,), m) for w, mask in words for x, m in step[mask]]
+        masks = {m for mask in masks for _, m in step[mask]}
     return tuple(w for w, _ in words)
 
 
@@ -170,7 +184,7 @@ def bruteforce_shift_partition(
         raise OutOfRange(f"defined for n >= 2, got {n}")
     enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
     seen: set[tuple[int, ...]] = set()
-    entries = []
+    entries = {}
     for start in _permutations(range(1, n + 1)):
         if start in seen:
             continue
@@ -189,7 +203,7 @@ def bruteforce_shift_partition(
         # `start` is lexicographically least: S_n is walked in ascending order;
         # the pyramid key only labels the orbit, it plays no part in grouping
         key = canonical_key(pyramidal_sequence(start))
-        entries.append((key, (len(orbit), start)))
+        entries[key] = (len(orbit), int.from_bytes(bytes(start), "big"))
     return _finish_report(n, entries)
 
 

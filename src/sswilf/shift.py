@@ -15,6 +15,7 @@ own.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 from typing import Sequence
 
 from .errors import InvalidMove, SizeMismatch
@@ -28,15 +29,16 @@ class RigidShiftMove(namedtuple("RigidShiftMove", "height offset")):
     __slots__ = ()
 
     def __new__(cls, height: int, offset: int):
-        try:  # a comparison with a non-number raises TypeError
-            if height < 1:
-                raise InvalidMove(f"cut height must be >= 1, got {height}")
-            if not (offset < 0 or offset > 0):
-                raise InvalidMove(f"offset {offset!r} would not move anything")
+        try:  # integers only: a float or a string would later index a tuple
+            height, offset = index(height), index(offset)
         except TypeError:
             raise InvalidMove(
                 f"height and offset must be integers, got {height!r}, {offset!r}"
             ) from None
+        if height < 1:
+            raise InvalidMove(f"cut height must be >= 1, got {height}")
+        if offset == 0:
+            raise InvalidMove(f"offset {offset!r} would not move anything")
         return tuple.__new__(cls, (height, offset))
 
 

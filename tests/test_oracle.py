@@ -75,6 +75,34 @@ class TestEquivalencePartition:
         assert bruteforce_ss_partition(8, workers=3) == serial
         assert pools == [2, 1]
 
+    def test_blocks_stop_at_one_permutation_each(self, monkeypatch):
+        # a workers value far above n! builds no more than n! bounds
+        pools, blocks = [], []
+
+        class InlinePool:
+            """Records the pool size and sweeps each block in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                blocks.append(args)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert bruteforce_ss_partition(5, workers=10**12) == bruteforce_ss_partition(5)
+        assert pools == [2]
+        assert blocks == [(5, rank, 1) for rank in range(120)]
+
     def test_representatives_are_least_members(self):
         report = bruteforce_ss_partition(5)
         for key, _, rep in report.classes:
@@ -114,6 +142,17 @@ class TestMinimalPrefixSweep:
 
     def test_named_cardinality(self):
         assert len(bruteforce_minimal_prefixes(3, 8)) == 8
+
+    def test_periodic_complement_table_matches_definition(self):
+        # mask by mask: the letters missing from the mask, ascending, are at
+        # least two and all their differences are equal
+        for n in range(1, 13):
+            expected = bytearray(1 << n)
+            for mask in range(1 << n):
+                rest = [x for x in range(1, n + 1) if not mask >> (x - 1) & 1]
+                gaps = {b - a for a, b in zip(rest, rest[1:])}
+                expected[mask] = len(rest) >= 2 and len(gaps) == 1
+            assert _periodic_complement_table(n) == expected
 
     def test_same_tuple_as_a_filter_over_every_word(self):
         # every length-i word, scanned from its first letter until a prefix

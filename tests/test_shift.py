@@ -67,6 +67,26 @@ class TestEnumerate:
             for _, r in enumerate_rigid_shifts(u):
                 assert is_ss_equivalent(u, r)
 
+    def test_equals_a_scan_of_every_move(self):
+        # every (height, offset) through apply_rigid_shift, in that order,
+        # keeping the moves that do not raise and change something: a cut
+        # below n moves a non-empty set of columns, which never lands on itself
+        for n in range(1, 7):
+            for u in symmetric_group(n):
+                scanned = []
+                for height in range(1, n + 1):
+                    for offset in range(1 - n, n):
+                        if offset == 0:
+                            continue
+                        move = RigidShiftMove(height, offset)
+                        try:
+                            r = apply_rigid_shift(u, move)
+                        except InvalidMove:
+                            continue
+                        if r != u:
+                            scanned.append((move, r))
+                assert enumerate_rigid_shifts(u) == tuple(scanned)
+
 
 class TestStrongOrbit:
     def test_size_two(self):

@@ -19,6 +19,8 @@ BAD_CALLS = {
     "embedding_set_text_pattern": lambda: words.embedding_set("a", (1, 2)),
     "RigidShiftMove_text_height": lambda: shift.RigidShiftMove("a", 1),
     "RigidShiftMove_text_offset": lambda: shift.RigidShiftMove(2, "a"),
+    "RigidShiftMove_float_height": lambda: shift.RigidShiftMove(1.5, 1),
+    "RigidShiftMove_float_offset": lambda: shift.RigidShiftMove(2, 1.0),
     "levels_from_key_empty_level": lambda: pyramid.levels_from_key(b"\x00"),
     "levels_from_key_empty_inner_level": lambda: pyramid.levels_from_key(b"\x01\x00\x00"),
     "levels_from_key_zero_entry": lambda: pyramid.levels_from_key(b"\x80\x00\x00"),
