@@ -6,6 +6,12 @@ the partition of S_n by pyramid, the minimal-prefix sets, and the orbit
 partitions under rigid shifts.  The oracle side deliberately avoids the
 recursive shortcuts so that agreement is meaningful.
 
+The orbit BFS uses one lemma and no pyramid: mirroring the skyline diagram
+turns the rigid shift (h, d) of u into the rigid shift (h, -d) of rev(u),
+with the result reversed, so the rigid-shift orbit of rev(u) is the
+reversal of the orbit of u.  Each BFS thus yields a mirror pair of orbits,
+or one orbit under shifts and reversals.  The pyramid key only labels them.
+
 Each sweep refuses sizes above a limit (``DEFAULT_SS_LIMIT`` for the
 pyramid and prefix sweeps, ``DEFAULT_SHIFT_LIMIT`` for the orbit BFS) unless
 the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.
@@ -21,7 +27,7 @@ from . import kernel
 from .errors import InternalError, OutOfRange
 from .pyramid import canonical_key, pyramidal_sequence
 from .shift import enumerate_rigid_shifts
-from .words import as_size, enforce_limit, reversal
+from .words import as_size, enforce_limit
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
@@ -51,7 +57,8 @@ def _finish_report(n: int, table: dict) -> ClassPartitionReport:
     Classes leave the table one at a time, in insertion order, and each code
     becomes a tuple only as its row is written, so the table and the rows are
     never held whole at once.  The table is empty, and cleared, before the
-    rows are sorted by least member.
+    rows are sorted by least member and the histogram by exponent, so the
+    report does not depend on the order the table was filled in.
     """
     histogram: dict[int, int] = {}
     classes = []
@@ -69,6 +76,7 @@ def _finish_report(n: int, table: dict) -> ClassPartitionReport:
     if total != factorial(n):
         raise InternalError(f"class sizes sum to {total}, expected {factorial(n)}")
     classes.sort(key=lambda item: item[2])
+    histogram = dict(sorted(histogram.items()))
     return ClassPartitionReport(n, len(classes), histogram, tuple(classes))
 
 
@@ -178,32 +186,48 @@ def bruteforce_shift_partition(
     n: int, with_reversals: bool, limit: int | None = None
 ) -> ClassPartitionReport:
     """Partition S_n into orbit closures under rigid shifts (and reversals
-    when flagged) by plain breadth-first search, no pyramid involved."""
+    when flagged) by plain breadth-first search, no pyramid involved.
+
+    Mirroring the skyline diagram turns the rigid shift (h, d) of u into the
+    rigid shift (h, -d) of rev(u), whose result is reversed too.  So the
+    rigid-shift orbit of rev(u) is the reversal of the orbit of u, and the
+    orbit under shifts and reversals is orbit ∪ rev(orbit).  The BFS walks
+    rigid shifts only, from the least permutation not yet seen, and reverses
+    the orbit it finds: with reversals the mirror joins the orbit; without,
+    it is a second orbit unless it is the orbit itself.  The pyramid key
+    only labels the orbits, it plays no part in grouping.
+    """
     n = as_size(n)
     if n < 2:
         raise OutOfRange(f"defined for n >= 2, got {n}")
     enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
     seen: set[tuple[int, ...]] = set()
     entries = {}
+
+    def record(least: tuple[int, ...], size: int) -> None:
+        key = canonical_key(pyramidal_sequence(least))
+        entries[key] = (size, int.from_bytes(bytes(least), "big"))
+
     for start in _permutations(range(1, n + 1)):
         if start in seen:
             continue
         orbit = {start}
         frontier = [start]
         while frontier:
-            x = frontier.pop()
-            neighbours = [r for _, r in enumerate_rigid_shifts(x)]
-            if with_reversals:
-                neighbours.append(reversal(x))
-            for r in neighbours:
+            for _, r in enumerate_rigid_shifts(frontier.pop()):
                 if r not in orbit:
                     orbit.add(r)
                     frontier.append(r)
+        mirror = {x[::-1] for x in orbit}
         seen |= orbit
-        # `start` is lexicographically least: S_n is walked in ascending order;
-        # the pyramid key only labels the orbit, it plays no part in grouping
-        key = canonical_key(pyramidal_sequence(start))
-        entries[key] = (len(orbit), int.from_bytes(bytes(start), "big"))
+        seen |= mirror
+        # `start` is lexicographically least: S_n is walked in ascending order,
+        # and every permutation below it is seen, so the mirror lies above it
+        if with_reversals:
+            orbit |= mirror
+        elif start[::-1] not in orbit:
+            record(min(mirror), len(mirror))
+        record(start, len(orbit))
     return _finish_report(n, entries)
 
 

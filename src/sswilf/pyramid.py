@@ -14,7 +14,13 @@ from __future__ import annotations
 from operator import index
 from typing import Sequence
 
-from .errors import InvalidPyramid, LengthMismatch, SizeMismatch, SizeTooSmall
+from .errors import (
+    InvalidPyramid,
+    LengthMismatch,
+    MalformedToken,
+    SizeMismatch,
+    SizeTooSmall,
+)
 from .words import as_permutation, inverse as _inverse
 
 DiffVector = tuple[int, ...]
@@ -98,6 +104,10 @@ def validate_transition(a: DiffVector, b: DiffVector) -> bool:
     >>> validate_transition((1, 3), (5,))
     False
     """
+    try:  # frozen as tuples of ints, so slices of a and b compare equal
+        a, b = tuple(map(index, a)), tuple(map(index, b))
+    except TypeError:
+        raise MalformedToken(f"levels must hold integers, got {a!r}, {b!r}") from None
     if len(a) < 2 or len(b) != len(a) - 1:
         raise LengthMismatch(f"cannot step from length {len(a)} to length {len(b)}")
     return _step(a, b) is not None

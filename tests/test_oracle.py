@@ -7,6 +7,7 @@ import pytest
 from sswilf.counting import class_count, class_count_by_exponent, shift_class_count
 from sswilf.errors import LimitExceeded, OutOfRange
 from sswilf.oracle import (
+    ClassPartitionReport,
     _periodic_complement_table,
     bruteforce_minimal_prefixes,
     bruteforce_shift_partition,
@@ -22,7 +23,9 @@ from sswilf.pyramid import (
     levels_from_key,
     pyramidal_sequence,
 )
+from sswilf.shift import enumerate_rigid_shifts
 from sswilf.trapezoid import minimal_prefixes
+from sswilf.words import reversal
 
 
 class TestEquivalencePartition:
@@ -176,6 +179,35 @@ class TestMinimalPrefixSweep:
             bruteforce_minimal_prefixes(2, 10)
 
 
+def _orbits_by_definition(n, with_reversals):
+    """The orbit partition by a BFS that takes a reversal as one more edge,
+    with no mirror shortcut, as a report."""
+    seen = set()
+    classes = []
+    histogram = {}
+    for start in permutations(range(1, n + 1)):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            x = frontier.pop()
+            neighbours = [r for _, r in enumerate_rigid_shifts(x)]
+            if with_reversals:
+                neighbours.append(reversal(x))
+            for r in neighbours:
+                if r not in orbit:
+                    orbit.add(r)
+                    frontier.append(r)
+        seen |= orbit
+        classes.append((canonical_key(pyramidal_sequence(start)), len(orbit), start))
+        j = len(orbit).bit_length() - 1
+        histogram[j] = histogram.get(j, 0) + 1
+    return ClassPartitionReport(
+        n, len(classes), dict(sorted(histogram.items())), tuple(classes)
+    )
+
+
 class TestShiftPartition:
     def test_single_class_at_two(self):
         for flag in (False, True):
@@ -195,6 +227,12 @@ class TestShiftPartition:
             swept = bruteforce_ss_partition(n)
             assert orbits.class_count == swept.class_count
             assert sorted(orbits.classes) == sorted(swept.classes)
+
+    def test_equals_a_bfs_with_a_reversal_edge(self):
+        for n in range(2, 7):
+            for flag in (False, True):
+                report = bruteforce_shift_partition(n, with_reversals=flag)
+                assert repr(report) == repr(_orbits_by_definition(n, flag)), (n, flag)
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):

@@ -123,6 +123,13 @@ class TestTransitions:
     def test_impossible(self):
         assert not validate_transition((1, 3), (5,))
 
+    def test_mixed_sequence_types(self):
+        # a list and a tuple of the same entries are the same level
+        assert validate_transition((1, 2), [3])
+        assert validate_transition((1, 1), [1])
+        assert validate_transition([1, 2, 1], (3, 1))
+        assert not validate_transition([1, 3], (5,))
+
     def test_length_contract(self):
         with pytest.raises(LengthMismatch):
             validate_transition((1, 2), (1, 2))

@@ -4,7 +4,8 @@ with a keyword repr, and their constructors reject bad fields."""
 import pytest
 
 from sswilf.errors import InvalidMove, InvalidPyramid, InvalidTrapezoid
-from sswilf.oracle import ClassPartitionReport, bruteforce_ss_partition
+from sswilf.kernel import sweep_block
+from sswilf.oracle import ClassPartitionReport, _finish_report, bruteforce_ss_partition
 from sswilf.pyramid import PyramidalSequence, pyramidal_sequence
 from sswilf.shift import RigidShiftMove
 from sswilf.trapezoid import TrapezoidalSequence, prefix_to_trapezoid
@@ -85,11 +86,19 @@ class TestRepr:
 
     def test_report(self):
         assert repr(bruteforce_ss_partition(3)) == (
-            "ClassPartitionReport(n=3, class_count=2, size_histogram={2: 1, 1: 1}, "
+            "ClassPartitionReport(n=3, class_count=2, size_histogram={1: 1, 2: 1}, "
             "classes=((b'\\x01\\x00\\x01\\x01\\x00', 4, (1, 2, 3)), "
             "(b'\\x02\\x00\\x01\\x01\\x00', 2, (2, 1, 3))))"
         )
         assert isinstance(bruteforce_ss_partition(3), ClassPartitionReport)
+
+    def test_report_ignores_table_order(self):
+        # a pool merges block tables in block order: the report must not show it
+        items = list(sweep_block(5, 0, 120).items())
+        forward = _finish_report(5, dict(items))
+        backward = _finish_report(5, dict(reversed(items)))
+        assert len(forward.size_histogram) > 1
+        assert repr(forward) == repr(backward)
 
 
 def test_moves_sort_by_height_then_offset():

@@ -87,6 +87,17 @@ class TestEnumerate:
                             scanned.append((move, r))
                 assert enumerate_rigid_shifts(u) == tuple(scanned)
 
+    def test_mirror_takes_each_move_to_its_negated_offset(self):
+        # the lemma the orbit oracle relies on, through its default limit S_7:
+        # the moves of rev(u) are the moves (h, -d) of u, with results reversed
+        for n in range(1, 8):
+            for u in symmetric_group(n):
+                mirrored = sorted(
+                    (RigidShiftMove(h, -d), reversal(r))
+                    for (h, d), r in enumerate_rigid_shifts(u)
+                )
+                assert enumerate_rigid_shifts(reversal(u)) == tuple(mirrored)
+
 
 class TestStrongOrbit:
     def test_size_two(self):

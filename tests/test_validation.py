@@ -52,6 +52,7 @@ BAD_CALLS = {
     "as_permutation_text_letter": lambda: words.as_permutation(["x"]),
     "pyramidal_sequence_float_letter": lambda: pyramid.pyramidal_sequence((1.5, 2)),
     "is_ss_equivalent_float_letter": lambda: pyramid.is_ss_equivalent((1, 2), (2, 1.0)),
+    "validate_transition_float_entry": lambda: pyramid.validate_transition((1, 2), (1.5,)),
     "PyramidalSequence_float_entry": lambda: pyramid.PyramidalSequence(((1, 1), (2.0,))),
     "PyramidalSequence_flat_levels": lambda: pyramid.PyramidalSequence((1,)),
     "TrapezoidalSequence_flat_levels": lambda: trapezoid.TrapezoidalSequence((1, 2)),
