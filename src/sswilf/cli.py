@@ -262,8 +262,8 @@ def _cmd_oracle(args) -> int:
         names = ", ".join((*oracle.LIMITS, "all"))
         raise UsageError(f"unknown check {args.check!r}; choose from {names}")
     mismatches: list[str] = []
-    for check in checks:  # refuse an oversized run before sweeping anything
-        words.enforce_limit(args.n_max, args.limit, oracle.LIMITS[check])
+    for check in checks:  # refuse a size out of range before sweeping anything
+        oracle._check_sizes(check, args.n_max, args.limit)
     for check in checks:
         if check == "ss":
             found = oracle.check_ss(args.n_max, workers=args.workers, limit=args.limit)

@@ -58,10 +58,6 @@ class OutOfRange(UsageError):
     """A numeric parameter lies outside its valid range."""
 
 
-class RangeViolation(UsageError):
-    """The prefix length bound for the pattern correspondence is violated."""
-
-
 class LimitExceeded(UsageError):
     """The requested sweep or listing exceeds its size limit."""
 

@@ -37,6 +37,8 @@ LIMITS = {
     "prefixes": DEFAULT_SS_LIMIT,
     "shift": DEFAULT_SHIFT_LIMIT,
 }
+# the least size each check_* cross-check compares; a smaller n_max checks nothing
+_LEAST = {"ss": 2, "prefixes": 3, "shift": 2}
 
 
 class ClassPartitionReport(
@@ -233,14 +235,22 @@ def bruteforce_shift_partition(
 
 # -- agreement checks driven by the CLI --------------------------------------
 
+def _check_sizes(check: str, n_max: int, limit: int | None) -> range:
+    """The sizes ``check`` compares up to ``n_max``: refuse an ``n_max``
+    below its least size, which would check nothing, or above its limit."""
+    n_max, least = as_size(n_max, "n_max"), _LEAST[check]
+    if n_max < least:
+        raise OutOfRange(f"check {check} starts at n={least}, got n_max={n_max}")
+    enforce_limit(n_max, limit, LIMITS[check])
+    return range(least, n_max + 1)
+
+
 def check_ss(n_max: int, workers: int = 1, limit: int | None = None) -> list[str]:
     """Compare swept class counts and histograms against the recurrences."""
     from .counting import class_count, class_count_by_exponent
 
-    n_max = as_size(n_max, "n_max")
-    enforce_limit(n_max, limit, DEFAULT_SS_LIMIT)
     mismatches = []
-    for n in range(2, n_max + 1):
+    for n in _check_sizes("ss", n_max, limit):
         report = bruteforce_ss_partition(n, workers=workers, limit=limit)
         expected = class_count(n)
         if report.class_count != expected:
@@ -263,10 +273,8 @@ def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
     from .counting import minimal_prefix_count
     from .trapezoid import minimal_prefixes
 
-    n_max = as_size(n_max, "n_max")
-    enforce_limit(n_max, limit, DEFAULT_SS_LIMIT)
     mismatches = []
-    for n in range(3, n_max + 1):
+    for n in _check_sizes("prefixes", n_max, limit):
         for i in range(1, n - 1):
             brute = set(bruteforce_minimal_prefixes(i, n, limit=limit))
             built = set(minimal_prefixes(i, n))
@@ -291,10 +299,8 @@ def check_shift(n_max: int, limit: int | None = None) -> list[str]:
     class count."""
     from .counting import class_count, shift_class_count
 
-    n_max = as_size(n_max, "n_max")
-    enforce_limit(n_max, limit, DEFAULT_SHIFT_LIMIT)
     mismatches = []
-    for n in range(2, n_max + 1):
+    for n in _check_sizes("shift", n_max, limit):
         plain = bruteforce_shift_partition(n, with_reversals=False, limit=limit)
         if plain.class_count != class_count(n):
             mismatches.append(

@@ -286,8 +286,13 @@ def canonical_key(p: PyramidalSequence) -> bytes:
 def levels_from_key(key: bytes) -> tuple[DiffVector, ...]:
     """Decode :func:`canonical_key` output back into bottom-first levels.
 
-    Any other bytes raise ``InvalidPyramid``: a 0x00 byte that ends a varint
-    would make it overlong or zero, and a key holds at least one level.
+    This reads the byte format only.  Bytes that break it raise
+    ``InvalidPyramid``: an empty key or level, a zero or overlong entry (a
+    0x00 byte that ends a varint), or a truncated one.  Levels that form no
+    tower decode as they are; ``PyramidalSequence(levels)`` checks the tower.
+
+    >>> levels_from_key(b"\\x02\\x00\\x01\\x02\\x00")
+    ((1, 2), (2,))
     """
     levels: list[DiffVector] = []
     current: list[int] = []

@@ -4,13 +4,14 @@ Draw a permutation as a bar chart (column i has height u_i), cut at height h,
 and slide every block above the cut by one common offset so that each block
 lands on a column whose truncated height is exactly h.  The orbit of a
 permutation under such moves is its strong shift class, which coincides with
-its super-strong Wilf equivalence class.  Allowing reversals as well only
-joins each class to the class of its mirror, so a shift class is the union of
-the strong classes of u and of its reversal.
+its super-strong Wilf equivalence class.
 
-Every public function validates its permutation arguments on entry; the
-breadth-first closure behind the orbits and witnesses adds no check of its
-own.
+Mirroring the diagram turns the shift (h, d) of u into the shift (h, -d) of
+rev(u), with the result reversed.  So the shift class of u (under shifts and
+reversals) is its strong class joined with its members' reversals, and a
+shortest chain needs one reversal at most, placed last.  The walk behind
+every orbit, predicate and witness applies rigid shifts only; it checks no
+argument, as every public function validates its own on entry.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from collections import namedtuple
 from operator import index
 from typing import Sequence
 
-from .errors import InvalidMove, SizeMismatch
-from .words import as_permutation, identity, reversal
+from .errors import InvalidMove, OutOfRange, SizeMismatch
+from .words import as_permutation, as_size, identity, reversal
 
 
 class RigidShiftMove(namedtuple("RigidShiftMove", "height offset")):
@@ -106,58 +107,48 @@ def enumerate_rigid_shifts(
 
 
 def _closure(
-    seed: tuple[int, ...], with_reversals: bool, target: tuple[int, ...] | None = None
+    seed: tuple[int, ...], target: tuple | None = None, mirror: tuple | None = None
 ) -> dict[tuple[int, ...], tuple | None]:
-    """Level-order walk from ``seed`` under rigid shifts (and reversals when
-    flagged): {member: (parent, move) or None for the seed}.  Stops early once
-    ``target`` has been reached, so its parent chain is a shortest path."""
+    """Level-order walk from ``seed`` under rigid shifts: {member: (parent,
+    move) or None for the seed}.  Returns as soon as ``target`` is reached;
+    once ``mirror`` is reached it finishes that level and returns, so a
+    ``target`` at the same depth is still found."""
     parents: dict[tuple[int, ...], tuple | None] = {seed: None}
-    queue = [seed]
-    for x in queue:  # the queue grows while it is walked
-        if target in parents:
-            break
-        steps = list(enumerate_rigid_shifts(x))
-        if with_reversals:
-            steps.append(("reversal", reversal(x)))
-        for move, r in steps:
-            if r not in parents:
-                parents[r] = (x, move)
-                queue.append(r)
+    level = [seed]
+    while level and target not in parents and mirror not in parents:
+        deeper = []
+        for x in level:
+            for move, r in enumerate_rigid_shifts(x):
+                if r not in parents:
+                    parents[r] = (x, move)
+                    if r == target:
+                        return parents
+                    deeper.append(r)
+        level = deeper
     return parents
 
 
 def strong_shift_class(u: Sequence[int]) -> frozenset:
     """Orbit of ``u`` under rigid shifts alone (breadth-first closure)."""
-    return frozenset(_closure(as_permutation(u), with_reversals=False))
+    return frozenset(_closure(as_permutation(u)))
 
 
 def shift_class(u: Sequence[int]) -> frozenset:
-    """Orbit of ``u`` under rigid shifts and reversals: the strong class of
-    ``u`` joined with the strong class of its reversal (the two coincide for
-    the two mirror-invariant classes)."""
-    u = as_permutation(u)
-    return frozenset(_closure(u, with_reversals=False)).union(
-        _closure(reversal(u), with_reversals=False)
-    )
-
-
-def _pair(u: Sequence[int], v: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    u, v = as_permutation(u), as_permutation(v)
-    if len(u) != len(v):
-        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
-    return u, v
+    """Orbit of ``u`` under rigid shifts and reversals: its strong class and
+    the reversals of its members (the same set for the two mirror-invariant
+    classes)."""
+    orbit = _closure(as_permutation(u))
+    return frozenset(orbit).union(map(reversal, orbit))
 
 
 def is_shift_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
     """True when some chain of rigid shifts and reversals links u to v."""
-    u, v = _pair(u, v)
-    return v in _closure(u, with_reversals=True, target=v)
+    return find_witness(u, v, True) is not None
 
 
 def is_strong_shift_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
     """True when some chain of rigid shifts alone links u to v."""
-    u, v = _pair(u, v)
-    return v in _closure(u, with_reversals=False, target=v)
+    return find_witness(u, v, False) is not None
 
 
 def find_witness(
@@ -165,24 +156,32 @@ def find_witness(
 ) -> list[RigidShiftMove | str] | None:
     """Shortest move sequence turning u into v, or None.
 
-    Reversal steps appear as the string ``"reversal"``.
+    A reversal appears as the string ``"reversal"``, at most once and last.
+    The walk stops at the first level that holds v or rev(v): the chain to v
+    when it reaches v, else the chain to rev(v) followed by the reversal.
     """
-    u, v = _pair(u, v)
-    parents = _closure(u, with_reversals, target=v)
-    if v not in parents:
+    u, v = as_permutation(u), as_permutation(v)
+    if len(u) != len(v):
+        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
+    mirror = reversal(v) if with_reversals else None
+    parents = _closure(u, v, mirror)
+    if v in parents:
+        path, x = [], v
+    elif mirror in parents:
+        path, x = ["reversal"], mirror
+    else:
         return None
-    path = []
-    step = parents[v]
-    while step is not None:
-        node, move = step
-        path.append(move)
-        step = parents[node]
-    path.reverse()
+    while parents[x] is not None:
+        x, move = parents[x]
+        path.insert(0, move)
     return path
 
 
 def reversal_invariant_members(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Seeds of the two mirror-invariant classes of S_n (n >= 3): the
     identity and 1 2 .. (n-3) (n-1) (n-2) n."""
+    n = as_size(n)
+    if n < 3:
+        raise OutOfRange(f"defined for n >= 3, got {n}")
     v = tuple(range(1, n - 2)) + (n - 1, n - 2, n)
     return identity(n), v

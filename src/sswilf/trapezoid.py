@@ -16,14 +16,7 @@ from functools import lru_cache
 from itertools import permutations as _permutations
 from typing import Sequence
 
-from .errors import (
-    InvalidTrapezoid,
-    NotAPrefix,
-    NotInB,
-    OutOfRange,
-    RangeViolation,
-    SizeTooSmall,
-)
+from .errors import InvalidTrapezoid, NotAPrefix, NotInB, OutOfRange, SizeTooSmall
 from .pyramid import (
     DiffVector,
     _Tower,
@@ -35,7 +28,7 @@ from .pyramid import (
     is_periodic_vector,
     validate_transition,  # unused here; perfbench/tracing.py counts calls to this name
 )
-from .words import as_size, reduced_form, reversal
+from .words import _letters, as_size, reduced_form, reversal
 
 
 def is_periodic_set(values) -> bool:
@@ -68,7 +61,7 @@ def _deletion_tower(u: tuple[int, ...], n: int) -> tuple[DiffVector, ...] | None
 def is_minimal_prefix(u: Sequence[int], n: int) -> bool:
     """Membership test straight from the definition: complement periodic,
     no proper prefix with periodic complement, letters distinct in 1..n."""
-    return _deletion_tower(tuple(u), as_size(n)) is not None
+    return _deletion_tower(_letters(u), as_size(n)) is not None
 
 
 def _periodic_subsets(size: int, n: int):
@@ -149,7 +142,7 @@ def prefix_to_trapezoid(u: Sequence[int], n: int) -> TrapezoidalSequence:
 
     One walk tests ``u`` and builds its tower, trapezoidal by construction.
     """
-    u = tuple(u)
+    u = _letters(u)
     levels = _deletion_tower(u, as_size(n))
     if levels is None:
         raise NotAPrefix(f"{u} is not a minimal periodic-complement prefix for n={n}")
@@ -178,6 +171,7 @@ def is_non_interval(b: Sequence[int]) -> bool:
     >>> is_non_interval((1, 2, 3))
     False
     """
+    b = _letters(b)
     n = len(b)
     if n < 2:
         raise SizeTooSmall("defined for size >= 2")
@@ -210,12 +204,12 @@ def prefix_to_noninterval(u: Sequence[int], n: int) -> tuple[int, ...]:
     >>> prefix_to_noninterval((4, 5), 5)
     (2, 3, 1)
     """
-    u = tuple(u)
-    if not is_minimal_prefix(u, n):
+    u, n = _letters(u), as_size(n)
+    if _deletion_tower(u, n) is None:
         raise NotAPrefix(f"{u} is not a minimal periodic-complement prefix for n={n}")
     complement = sorted(_complement(u, n))
     if complement[-1] - complement[0] != len(complement) - 1:
-        raise RangeViolation(
+        raise OutOfRange(
             f"complement of {u} is not an interval (guaranteed only for "
             f"lengths below {n // 2})"
         )
@@ -231,10 +225,10 @@ def noninterval_to_prefix(b: Sequence[int], n: int) -> tuple[int, ...]:
     >>> noninterval_to_prefix((2, 3, 1), 5)
     (4, 5)
     """
-    b, n = tuple(b), as_size(n)
+    b, n = _letters(b), as_size(n)
     k = len(b) - 1
     if not 1 <= k <= n - 2:
-        raise RangeViolation(f"pattern size {k + 1} does not fit inside 1..{n}")
+        raise OutOfRange(f"pattern size {k + 1} does not fit inside 1..{n}")
     if sorted(b) != list(range(1, k + 2)) or not _has_no_interval_suffix(b):
         raise NotInB(f"{b} is not an interval-suffix-free permutation")
     pivot = b[-1]

@@ -348,6 +348,22 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "--check", "all", "--n-max", "8")
         assert code == 2 and out == "" and "error" in err
 
+    def test_size_below_every_check_exits_two(self, capsys):
+        # n_max 1 checks nothing at all, so it may not report success
+        code, out, err = run(capsys, "oracle", "--n-max", "1")
+        assert code == 2 and out == "" and "error" in err
+        code, out, _ = run(
+            capsys, "oracle", "--n-max", "-3", "--check", "prefixes", "--json"
+        )
+        assert code == 2 and out == ""
+
+    def test_size_below_one_check_refused_before_any_check_runs(self, capsys):
+        # ss and shift start at n = 2, prefixes at n = 3
+        code, out, err = run(capsys, "oracle", "--check", "all", "--n-max", "2")
+        assert code == 2 and out == "" and "prefixes" in err
+        code, out, _ = run(capsys, "oracle", "--check", "shift", "--n-max", "2")
+        assert code == 0 and "ok" in out
+
     def test_unknown_check_exits_two(self, capsys, monkeypatch):
         from sswilf import oracle
 

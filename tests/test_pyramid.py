@@ -254,6 +254,14 @@ class TestCanonicalKey:
         p = PyramidalSequence(tuple(stack))
         assert levels_from_key(canonical_key(p)) == p.levels
 
+    def test_decoding_reads_the_format_and_the_constructor_checks_the_tower(self):
+        # well-formed bytes whose levels are no pyramid decode as they are
+        assert levels_from_key(b"\x05\x00") == ((5,),)
+        assert levels_from_key(b"\x02\x00\x01\x02\x00") == ((1, 2), (2,))
+        for key in (b"\x05\x00", b"\x02\x00\x01\x02\x00"):
+            with pytest.raises(InvalidPyramid):
+                PyramidalSequence(levels_from_key(key))
+
 
 def test_partition_sizes_sum_to_group_order():
     from math import factorial

@@ -138,25 +138,6 @@ class TestShiftOrbit:
             count += 1
         assert count == 21
 
-    def test_formula_agrees_with_breadth_first_search(self):
-        def bfs(u):
-            seen = {u}
-            todo = [u]
-            while todo:
-                x = todo.pop()
-                for r in [r for _, r in enumerate_rigid_shifts(x)] + [reversal(x)]:
-                    if r not in seen:
-                        seen.add(r)
-                        todo.append(r)
-            return seen
-
-        for n in (3, 4, 5, 6):
-            for u in symmetric_group(n):
-                assert shift_class(u) == bfs(u)
-                break  # one seed per size keeps this quick; the oracle sweeps all
-        for u in symmetric_group(5):
-            assert shift_class(u) == bfs(u)
-
     def test_exactly_two_reversal_invariant_classes(self):
         for n in range(3, 8):
             invariant = []
@@ -216,3 +197,56 @@ class TestWitness:
                     for move in find_witness(u, v, with_reversals):
                         w = reversal(w) if move == "reversal" else apply_rigid_shift(w, move)
                     assert w == v, (u, v, with_reversals)
+
+
+def _distances_with_reversal_moves(u):
+    """Plain breadth-first search in which the reversal is one more move:
+    {member: distance from u}."""
+    dist = {u: 0}
+    level = [u]
+    while level:
+        deeper = []
+        for x in level:
+            for r in [r for _, r in enumerate_rigid_shifts(x)] + [reversal(x)]:
+                if r not in dist:
+                    dist[r] = dist[x] + 1
+                    deeper.append(r)
+        level = deeper
+    return dist
+
+
+class TestMirrorLemma:
+    def test_orbits_predicates_and_witnesses_match_a_walk_that_reverses(self):
+        # the walk never reverses; the lemma must make up for it exactly
+        for n in range(2, 7):
+            perms = list(symmetric_group(n))
+            for u in perms:
+                dist = _distances_with_reversal_moves(u)
+                assert shift_class(u) == set(dist), u
+                outside = [v for v in perms if v not in dist]
+                for v in outside if n <= 4 else outside[:1]:
+                    assert not is_shift_equivalent(u, v), (u, v)
+                for v, d in dist.items():
+                    assert is_shift_equivalent(u, v), (u, v)
+                    path = find_witness(u, v, with_reversals=True)
+                    assert len(path) == d, (u, v, path)
+                    assert "reversal" not in path[:-1], (u, v, path)
+                    w = u
+                    for move in path:
+                        w = reversal(w) if move == "reversal" else apply_rigid_shift(w, move)
+                    assert w == v, (u, v, path)
+
+    def test_reversal_of_a_large_class_costs_no_shift(self, monkeypatch):
+        from sswilf import shift
+        from sswilf.pyramid import class_size_exponent
+
+        u = (2, 10, 9, 11, 12, 8, 7, 6, 5, 4, 3, 1)
+        assert class_size_exponent(pyramidal_sequence(u)) == 9
+        calls = []
+        original = shift.enumerate_rigid_shifts
+        monkeypatch.setattr(
+            shift, "enumerate_rigid_shifts", lambda x: calls.append(x) or original(x)
+        )
+        assert find_witness(u, reversal(u), with_reversals=True) == ["reversal"]
+        assert is_shift_equivalent(u, reversal(u))
+        assert calls == []

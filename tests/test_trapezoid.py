@@ -5,7 +5,6 @@ from sswilf.errors import (
     NotAPrefix,
     NotInB,
     OutOfRange,
-    RangeViolation,
     SizeTooSmall,
 )
 from sswilf.pyramid import consecutive_differences, set_from_differences
@@ -208,9 +207,9 @@ class TestPatternCorrespondence:
 
     def test_range_guards(self):
         # complement {1, 3, 5} is spread out, not an interval
-        with pytest.raises(RangeViolation):
+        with pytest.raises(OutOfRange):
             prefix_to_noninterval((2, 4), 5)
-        with pytest.raises(RangeViolation):
+        with pytest.raises(OutOfRange):
             noninterval_to_prefix((2, 1, 3), 3)
 
     def test_rejects_interval_suffixes(self):

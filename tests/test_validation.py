@@ -56,6 +56,20 @@ BAD_CALLS = {
     "PyramidalSequence_float_entry": lambda: pyramid.PyramidalSequence(((1, 1), (2.0,))),
     "PyramidalSequence_flat_levels": lambda: pyramid.PyramidalSequence((1,)),
     "TrapezoidalSequence_flat_levels": lambda: trapezoid.TrapezoidalSequence((1, 2)),
+    "check_ss_below_two": lambda: oracle.check_ss(1),
+    "check_prefixes_below_three": lambda: oracle.check_prefixes(2),
+    "check_prefixes_negative": lambda: oracle.check_prefixes(-3),
+    "check_shift_below_two": lambda: oracle.check_shift(1),
+    "reversal_invariant_members_two": lambda: shift.reversal_invariant_members(2),
+    "reversal_invariant_members_negative": lambda: shift.reversal_invariant_members(-1),
+    "reversal_invariant_members_float": lambda: shift.reversal_invariant_members(5.0),
+    "noninterval_to_prefix_float_letters": lambda: trapezoid.noninterval_to_prefix(
+        (2.0, 3.0, 1.0), 5),
+    "is_minimal_prefix_float_letter": lambda: trapezoid.is_minimal_prefix((1.0,), 5),
+    "prefix_to_trapezoid_float_letter": lambda: trapezoid.prefix_to_trapezoid((1.0,), 5),
+    "prefix_to_noninterval_float_letters": lambda: trapezoid.prefix_to_noninterval(
+        (4.0, 5.0), 5),
+    "is_non_interval_text_letters": lambda: trapezoid.is_non_interval(("a", "b", "c")),
 }
 
 
