@@ -11,6 +11,10 @@ turns the rigid shift (h, d) of u into the rigid shift (h, -d) of rev(u),
 with the result reversed, so the rigid-shift orbit of rev(u) is the
 reversal of the orbit of u.  Each BFS thus yields a mirror pair of orbits,
 or one orbit under shifts and reversals.  The pyramid key only labels them.
+It steps with its own :func:`enumerate_rigid_shifts`, a scan of every cut
+and offset over position masks, and shares no move generator with
+``sswilf.shift``, so agreement with the library's orbits also checks the
+library's moves.
 
 Each sweep refuses sizes above a limit (``DEFAULT_SS_LIMIT`` for the
 pyramid and prefix sweeps, ``DEFAULT_SHIFT_LIMIT`` for the orbit BFS) unless
@@ -26,7 +30,6 @@ from math import factorial
 from . import kernel
 from .errors import InternalError, OutOfRange
 from .pyramid import canonical_key, pyramidal_sequence
-from .shift import enumerate_rigid_shifts
 from .words import as_size, enforce_limit
 
 DEFAULT_SS_LIMIT = 9
@@ -182,6 +185,46 @@ def bruteforce_minimal_prefixes(
         words = [(w + (x,), m) for w, mask in words for x, m in step[mask]]
         masks = {m for mask in masks for _, m in step[mask]}
     return tuple(w for w, _ in words)
+
+
+def enumerate_rigid_shifts(
+    u: tuple[int, ...],
+) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+    """Every rigid shift of the permutation ``u``, straight from the
+    definition, as ((cut height, offset), result) pairs in (height, offset)
+    order; ``u`` is not checked, the BFS builds it.
+
+    Letters above the cut h sit on the columns of the mask ``moved``; those
+    at or above it on ``landing``, which is ``moved`` and the column of h.
+    Every offset d != 0 that keeps ``moved`` inside the diagram is tried,
+    and the shift is valid when each moved column lands on a column of
+    ``landing``, i.e. when ``moved`` shifted by d has no bit outside it.  The
+    result puts each letter above h d columns on, h on the one landing
+    column left uncovered, and every other letter where it was.
+    """
+    n = len(u)
+    pos = [0] * (n + 1)  # pos[x]: the column of letter x
+    for i, x in enumerate(u):
+        pos[x] = i
+    at_least = [0] * (n + 2)  # at_least[h]: the columns of the letters >= h
+    for h in range(n, 0, -1):
+        at_least[h] = at_least[h + 1] | 1 << pos[h]
+    out = []
+    for h in range(1, n):
+        moved, landing = at_least[h + 1], at_least[h]
+        least, greatest = (moved & -moved).bit_length() - 1, moved.bit_length() - 1
+        for d in range(-least, n - greatest):
+            if d == 0:
+                continue
+            shifted = moved << d if d > 0 else moved >> -d
+            if shifted & ~landing:
+                continue
+            r = list(u)
+            for x in range(h + 1, n + 1):
+                r[pos[x] + d] = x
+            r[(landing & ~shifted).bit_length() - 1] = h
+            out.append(((h, d), tuple(r)))
+    return tuple(out)
 
 
 def bruteforce_shift_partition(

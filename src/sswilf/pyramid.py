@@ -32,7 +32,10 @@ def consecutive_differences(values) -> DiffVector:
     >>> consecutive_differences({2, 4, 6, 8})
     (2, 2, 2)
     """
-    xs = sorted(values)
+    try:  # integers only: float elements would give float gaps
+        xs = sorted(map(index, values))
+    except TypeError:
+        raise MalformedToken(f"elements must be integers, got {values!r}") from None
     if len(xs) < 2:
         raise SizeTooSmall("need at least two elements to take differences")
     return tuple(b - a for a, b in zip(xs, xs[1:]))
@@ -43,9 +46,14 @@ def set_from_differences(start: int, diffs: Sequence[int]) -> tuple[int, ...]:
 
     Inverse of :func:`consecutive_differences` once a minimum is fixed.
     """
-    out = [start]
-    for d in diffs:
-        out.append(out[-1] + d)
+    try:
+        out = [index(start)]
+        for d in map(index, diffs):
+            out.append(out[-1] + d)
+    except TypeError:
+        raise MalformedToken(
+            f"start and gaps must be integers, got {start!r}, {diffs!r}"
+        ) from None
     return tuple(out)
 
 
@@ -121,7 +129,12 @@ def is_periodic_vector(d: Sequence[int]) -> bool:
     >>> is_periodic_vector((1, 2, 2, 2))
     False
     """
-    return not d or d.count(d[0]) == len(d)
+    try:
+        return d.count(d[0]) == len(d)
+    except IndexError:  # the empty vector
+        return True
+    except AttributeError:  # not a sequence: None, 1, a set
+        raise MalformedToken(f"a gap vector is a sequence, got {d!r}") from None
 
 
 def _built(cls, levels: tuple[DiffVector, ...]):
@@ -204,7 +217,10 @@ def pyramidal_sequence(u: Sequence[int]) -> PyramidalSequence:
     >>> pyramidal_sequence((2, 1, 3)).levels
     ((1, 1), (2,))
     """
-    n = len(u)
+    try:
+        n = len(u)
+    except TypeError:
+        raise MalformedToken(f"a permutation is a sequence, got {u!r}") from None
     if n < 2:
         raise SizeTooSmall("pyramids are defined for size >= 2")
     return _built(PyramidalSequence, tuple(_deletions(_inverse(u)[: n - 2], n)))
@@ -215,9 +231,13 @@ def is_ss_equivalent(u: Sequence[int], v: Sequence[int]) -> bool:
 
     Size-1 permutations are trivially equivalent.
     """
-    if len(u) != len(v):
-        raise SizeMismatch(f"sizes differ: {len(u)} vs {len(v)}")
-    if len(u) == 1:
+    try:
+        n, m = len(u), len(v)
+    except TypeError:
+        raise MalformedToken(f"permutations are sequences, got {u!r}, {v!r}") from None
+    if n != m:
+        raise SizeMismatch(f"sizes differ: {n} vs {m}")
+    if n == 1:
         return as_permutation(u) == as_permutation(v)
     return pyramidal_sequence(u) == pyramidal_sequence(v)
 
@@ -230,7 +250,10 @@ def class_size_exponent(p: PyramidalSequence) -> int:
     two ways, doubling the class; the final step down to the empty vector
     always counts, hence the baseline of 1.
     """
-    levels = p.levels
+    try:
+        levels = p.levels
+    except AttributeError:
+        raise InvalidPyramid(f"expected a PyramidalSequence, got {p!r}") from None
     return 1 + sum(b == a[1:] == a[:-1] for a, b in zip(levels, levels[1:]))
 
 
@@ -245,7 +268,10 @@ def canonical_member(p: PyramidalSequence) -> tuple[int, ...]:
     same d -- the left one is taken, which pins down one member of the class
     per choice point.
     """
-    levels = p.levels + ((),)
+    try:
+        levels = p.levels + ((),)
+    except AttributeError:
+        raise InvalidPyramid(f"expected a PyramidalSequence, got {p!r}") from None
     position = {p.n: 0}
     left = 0
     for i in range(p.n - 1, 0, -1):
@@ -275,8 +301,12 @@ def canonical_key(p: PyramidalSequence) -> bytes:
     Top-first order lets pyramids sharing a scaled upper part share a key
     prefix.
     """
+    try:
+        levels = p.levels
+    except AttributeError:
+        raise InvalidPyramid(f"expected a PyramidalSequence, got {p!r}") from None
     out = bytearray()
-    for level in reversed(p.levels):
+    for level in reversed(levels):
         for e in level:
             _encode_varint(e, out)
         out.append(0)
@@ -294,6 +324,8 @@ def levels_from_key(key: bytes) -> tuple[DiffVector, ...]:
     >>> levels_from_key(b"\\x02\\x00\\x01\\x02\\x00")
     ((1, 2), (2,))
     """
+    if not isinstance(key, (bytes, bytearray)):
+        raise InvalidPyramid(f"a pyramid key is bytes, got {key!r}")
     levels: list[DiffVector] = []
     current: list[int] = []
     value = 0

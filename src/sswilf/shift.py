@@ -51,9 +51,16 @@ def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]
     Landing positions take height cut + moved excess, the one tall column
     left uncovered drops to the cut height, everything below the cut stays.
 
+    ``move`` may be a plain (height, offset) pair; it is checked as a
+    :class:`RigidShiftMove`, so anything else raises ``InvalidMove``.
+
     >>> apply_rigid_shift((3, 2, 4, 1, 5), RigidShiftMove(3, -2))
     (4, 2, 5, 1, 3)
     """
+    try:
+        move = RigidShiftMove(*move)
+    except TypeError:  # not a pair: 5, (5,), (1, 2, 3), None
+        raise InvalidMove(f"a move is a (height, offset) pair, got {move!r}") from None
     return _apply(as_permutation(u), move)
 
 

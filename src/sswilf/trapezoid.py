@@ -158,7 +158,10 @@ def trapezoid_to_prefix(t: TrapezoidalSequence) -> tuple[int, ...]:
     (height 1) both end drops fit and the least survivor is taken, so this
     walk returns the deleted-minimum reading, i.e. the prefix (1,).
     """
-    levels = t.levels
+    try:
+        levels = t.levels
+    except AttributeError:
+        raise InvalidTrapezoid(f"expected a TrapezoidalSequence, got {t!r}") from None
     survivors = list(range(1, t.n + 1))
     return tuple(survivors.pop(_step(a, b)) for a, b in zip(levels, levels[1:]))
 

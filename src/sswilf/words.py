@@ -96,10 +96,14 @@ def parse_permutation(text: str, n_hint: int | None = None) -> tuple[int, ...]:
     >>> parse_permutation("3 1 2")
     (3, 1, 2)
     """
-    text = text.strip()
+    try:
+        text = text.strip()
+        separated = _SEPARATORS.search(text)
+    except (AttributeError, TypeError):  # not a str: 123, b"12", None
+        raise MalformedToken(f"permutation text must be a string, got {text!r}") from None
     if not text:
         raise MalformedToken("empty permutation text")
-    if _SEPARATORS.search(text):
+    if separated:
         letters = []
         for tok in _SEPARATORS.split(text):
             if not tok:  # a leading or trailing comma
@@ -120,6 +124,7 @@ def parse_permutation(text: str, n_hint: int | None = None) -> tuple[int, ...]:
 
 def format_word(w: Sequence[int]) -> str:
     """Render a word compactly when all letters fit one digit."""
+    w = _letters(w)
     if w and max(w) <= 9:
         return "".join(str(x) for x in w)
     return " ".join(str(x) for x in w)
@@ -127,7 +132,7 @@ def format_word(w: Sequence[int]) -> str:
 
 def identity(n: int) -> tuple[int, ...]:
     """The identity permutation 1 2 ... n."""
-    return tuple(range(1, n + 1))
+    return tuple(range(1, as_size(n) + 1))
 
 
 def inverse(u: Sequence[int]) -> tuple[int, ...]:
@@ -156,7 +161,10 @@ def reversal(w: Sequence[int]) -> tuple[int, ...]:
     >>> reversal((3, 2, 4, 1, 5))
     (5, 1, 4, 2, 3)
     """
-    return tuple(reversed(w))
+    try:
+        return tuple(reversed(w))
+    except TypeError:  # not a sequence: 0, None, a set
+        raise MalformedToken(f"a word is a sequence, got {w!r}") from None
 
 
 def reduced_form(w: Sequence[int]) -> tuple[int, ...]:
@@ -167,9 +175,12 @@ def reduced_form(w: Sequence[int]) -> tuple[int, ...]:
     >>> reduced_form((7, 3, 5))
     (3, 1, 2)
     """
-    if len(set(w)) != len(w):
-        raise DuplicateLetter(f"cannot reduce {tuple(w)}: repeated letters")
-    rank = {x: i + 1 for i, x in enumerate(sorted(w))}
+    try:
+        if len(set(w)) != len(w):
+            raise DuplicateLetter(f"cannot reduce {tuple(w)}: repeated letters")
+        rank = {x: i + 1 for i, x in enumerate(sorted(w))}
+    except TypeError:  # not a sequence, or letters that do not compare
+        raise MalformedToken(f"cannot reduce {w!r}: not a word of letters") from None
     return tuple(rank[x] for x in w)
 
 

@@ -1,9 +1,13 @@
+import ast
 import concurrent.futures
+import hashlib
 import os
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from sswilf import oracle
 from sswilf.counting import class_count, class_count_by_exponent, shift_class_count
 from sswilf.errors import LimitExceeded, OutOfRange
 from sswilf.oracle import (
@@ -237,6 +241,67 @@ class TestShiftPartition:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             bruteforce_shift_partition(8, with_reversals=True)
+
+
+# sha256 of repr(bruteforce_shift_partition(n, with_reversals)), first 16 hex
+# digits, as the BFS gave them while it stepped with the library's
+# shift.enumerate_rigid_shifts
+ORBIT_REPORT_DIGESTS = {
+    (2, False): "0ee20e849fb77c9f", (2, True): "0ee20e849fb77c9f",
+    (3, False): "452add544b141dfe", (3, True): "452add544b141dfe",
+    (4, False): "dcf35f50f236fb16", (4, True): "94f044ee7acd4fd0",
+    (5, False): "d7c4552e248773ee", (5, True): "d43571ed8b4414ea",
+    (6, False): "774dd28f1510c2cb", (6, True): "720c5326d2dcf56d",
+    (7, False): "3ce041506512455d", (7, True): "6b55aa327edbff42",
+}
+
+
+def _modules_imported(tree):
+    """Every dotted module name an import statement in ``tree`` may bind,
+    relative imports read as inside ``sswilf``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"sswilf.{base}" if base else "sswilf"
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+class TestOwnRigidShiftStep:
+    def test_same_moves_as_the_library_on_every_permutation_through_seven(self):
+        for n in range(1, 8):
+            for u in permutations(range(1, n + 1)):
+                assert oracle.enumerate_rigid_shifts(u) == enumerate_rigid_shifts(u), u
+
+    def test_moves_are_plain_int_pairs(self):
+        moves = [move for move, _ in oracle.enumerate_rigid_shifts((3, 2, 4, 1, 5))]
+        assert moves and all(type(move) is tuple for move in moves)
+        assert moves == sorted(moves)
+
+    def test_imports_nothing_from_the_shift_module(self):
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set(_modules_imported(tree))
+        assert "sswilf.pyramid" in imported  # the walk reads relative imports
+        assert not {m for m in imported if m == "sswilf.shift" or m.startswith("sswilf.shift.")}
+
+    def test_the_bfs_steps_through_the_module_global(self, monkeypatch):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return enumerate_rigid_shifts(u)
+
+        monkeypatch.setattr(oracle, "enumerate_rigid_shifts", counted)
+        assert bruteforce_shift_partition(4, with_reversals=False).class_count == class_count(4)
+        assert calls
+
+    def test_orbit_reports_are_unchanged(self):
+        for (n, flag), digest in ORBIT_REPORT_DIGESTS.items():
+            report = bruteforce_shift_partition(n, with_reversals=flag)
+            assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest, (n, flag)
 
 
 class TestChecks:

@@ -1,10 +1,14 @@
 """Public calls reject malformed permutations, tower levels and non-integer
 sizes with a UsageError, so the CLI keeps exit code 2 for bad input instead
-of leaking IndexError, ValueError or TypeError."""
-import pytest
+of leaking IndexError, ValueError, TypeError or AttributeError."""
+import inspect
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sswilf
 from sswilf import counting, oracle, pyramid, representatives, shift, trapezoid, words
-from sswilf.errors import UsageError
+from sswilf.errors import UsageError, WilfError
 
 BAD_CALLS = {
     "inverse": lambda: words.inverse((2, 3)),
@@ -70,6 +74,33 @@ BAD_CALLS = {
     "prefix_to_noninterval_float_letters": lambda: trapezoid.prefix_to_noninterval(
         (4.0, 5.0), 5),
     "is_non_interval_text_letters": lambda: trapezoid.is_non_interval(("a", "b", "c")),
+    "apply_rigid_shift_zero_offset_pair": lambda: shift.apply_rigid_shift((1, 2), (1, 0)),
+    "apply_rigid_shift_int_move": lambda: shift.apply_rigid_shift((1, 2), 5),
+    "apply_rigid_shift_short_move": lambda: shift.apply_rigid_shift((1, 2), (5,)),
+    "apply_rigid_shift_long_move": lambda: shift.apply_rigid_shift((1, 2), (1, 1, 1)),
+    "apply_rigid_shift_no_move": lambda: shift.apply_rigid_shift((1, 2), None),
+    "pyramidal_sequence_int": lambda: pyramid.pyramidal_sequence(0),
+    "is_ss_equivalent_ints": lambda: pyramid.is_ss_equivalent(0, 0),
+    "consecutive_differences_float": lambda: pyramid.consecutive_differences((1.5, 2)),
+    "consecutive_differences_int": lambda: pyramid.consecutive_differences(3),
+    "set_from_differences_float_gap": lambda: pyramid.set_from_differences(1, (1.5,)),
+    "set_from_differences_float_start": lambda: pyramid.set_from_differences(1.0, (1,)),
+    "levels_from_key_int": lambda: pyramid.levels_from_key(0),
+    "levels_from_key_text": lambda: pyramid.levels_from_key("ab"),
+    "canonical_key_tuple": lambda: pyramid.canonical_key(((1,),)),
+    "canonical_member_tuple": lambda: pyramid.canonical_member(((1,),)),
+    "class_size_exponent_tuple": lambda: pyramid.class_size_exponent(((1,),)),
+    "identity_float": lambda: words.identity(2.0),
+    "reversal_int": lambda: words.reversal(0),
+    "reduced_form_int": lambda: words.reduced_form(0),
+    "reduced_form_mixed_letters": lambda: words.reduced_form(("a", 1)),
+    "format_word_int": lambda: words.format_word(0),
+    "format_word_text_letter": lambda: words.format_word(("a",)),
+    "parse_permutation_int": lambda: words.parse_permutation(123),
+    "parse_permutation_bytes": lambda: words.parse_permutation(b"12"),
+    "is_periodic_set_int": lambda: trapezoid.is_periodic_set(0),
+    "is_periodic_vector_int": lambda: trapezoid.is_periodic_vector(1),
+    "trapezoid_to_prefix_tuple": lambda: trapezoid.trapezoid_to_prefix(((1, 1),)),
 }
 
 
@@ -77,3 +108,39 @@ BAD_CALLS = {
 def test_bad_permutation_raises_usage_error(call):
     with pytest.raises(UsageError):
         call()
+
+
+# -- every public callable, on malformed arguments --------------------------------
+
+# values of the wrong kind: small ints where a sequence goes; floats, text,
+# bytes or None where an int goes; and tuples or lists nesting any of them.
+# Ints stay within -2..6 and containers within 6 entries, so no sweep or
+# enumeration runs long.
+_SCALARS = st.one_of(
+    st.integers(-2, 6), st.floats(), st.text(max_size=3), st.binary(max_size=3), st.none()
+)
+_FLAT = st.lists(_SCALARS, max_size=6)
+_JUNK = st.one_of(
+    _SCALARS, _FLAT, _FLAT.map(tuple), st.lists(_FLAT.map(tuple), max_size=4).map(tuple)
+)
+# every public callable but the error types, which are raised, not called
+_CALLABLES = [
+    name for name in sswilf.__all__
+    if callable(getattr(sswilf, name))
+    and not (inspect.isclass(getattr(sswilf, name))
+             and issubclass(getattr(sswilf, name), BaseException))
+]
+
+
+@pytest.mark.parametrize("name", _CALLABLES)
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_only_wilf_errors_escape_the_public_api(name, data):
+    func = getattr(sswilf, name)
+    # workers > 1 would start a process pool per example
+    params = [p for p in inspect.signature(func).parameters if p != "workers"]
+    kwargs = {p: data.draw(_JUNK, label=p) for p in params}
+    try:
+        func(**kwargs)
+    except WilfError:
+        pass
