@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from operator import mul
 
-from .errors import NegativeResult, OutOfRange, ParityViolation
-from .words import as_size
+from .errors import NegativeResult, ParityViolation
+from .words import as_prefix_length, as_size
 
 _factorials = [1]  # index = k
 _nonintervals = [0, 0, 2]  # index = size; sizes 0 and 1 are undefined
@@ -91,9 +91,7 @@ def periodic_prefix_count(i: int, n: int) -> int:
     >>> periodic_prefix_count(2, 6)
     6
     """
-    i, n = as_size(i, "i"), as_size(n)
-    if n < 3 or not 0 <= i <= n - 2:
-        raise OutOfRange(f"need n >= 3 and 0 <= i <= n-2, got i={i}, n={n}")
+    i, n = as_prefix_length(i, n, least=0)
     return _progressions(n - i, n) * _factorial_table(i)[i]
 
 
@@ -109,9 +107,7 @@ def minimal_prefix_count(i: int, n: int) -> int:
     >>> minimal_prefix_count(5, 10)
     488
     """
-    i, n = as_size(i, "i"), as_size(n)
-    if n < 3 or not 1 <= i <= n - 2:
-        raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
+    i, n = as_prefix_length(i, n)
     return _minimal_row(n)[i]
 
 
@@ -124,9 +120,7 @@ def noninterval_count(n: int) -> int:
     >>> [noninterval_count(n) for n in range(2, 8)]
     [2, 2, 8, 44, 296, 2312]
     """
-    n = as_size(n)
-    if n < 2:
-        raise OutOfRange(f"defined for n >= 2, got {n}")
+    n = as_size(n, least=2)
     return _noninterval_table(n)[n]
 
 
@@ -136,9 +130,7 @@ def class_count(n: int) -> int:
     >>> class_count(10)
     1490564
     """
-    n = as_size(n)
-    if n < 1:
-        raise OutOfRange(f"defined for n >= 1, got {n}")
+    n = as_size(n, least=1)
     counts = _class_counts
     for m in range(len(counts), n + 1):
         row = _minimal_row(m)
@@ -154,9 +146,7 @@ def class_count_by_exponent(j: int, n: int) -> int:
     >>> class_count_by_exponent(4, 10)
     3992
     """
-    j, n = as_size(j, "j"), as_size(n)
-    if n < 2 or j < 0:
-        raise OutOfRange(f"need n >= 2 and j >= 0, got j={j}, n={n}")
+    j, n = as_size(j, "j", least=0), as_size(n, least=2)
     if j == 0 or j > n - 1:
         return 0
     columns = _counts_by_exponent
@@ -183,9 +173,7 @@ def shift_class_count(n: int) -> int:
     >>> shift_class_count(5)
     21
     """
-    n = as_size(n)
-    if n < 1:
-        raise OutOfRange(f"defined for n >= 1, got {n}")
+    n = as_size(n, least=1)
     if n <= 2:
         return 1
     s = class_count(n)

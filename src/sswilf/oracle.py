@@ -28,9 +28,9 @@ from itertools import permutations as _permutations
 from math import factorial
 
 from . import kernel
-from .errors import InternalError, OutOfRange
+from .errors import InternalError
 from .pyramid import canonical_key, pyramidal_sequence
-from .words import as_size, enforce_limit
+from .words import as_prefix_length, as_size, enforce_limit
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
@@ -108,12 +108,8 @@ def bruteforce_ss_partition(
     are slower than one: the parent process unpickles and merges every
     block's table on its own, and that costs more than the sweep it shares.
     """
-    n = as_size(n)
-    workers = as_size(workers, "workers")
-    if n < 2:
-        raise OutOfRange(f"defined for n >= 2, got {n}")
-    if workers < 1:
-        raise OutOfRange(f"workers must be at least 1, got {workers}")
+    n = as_size(n, least=2)
+    workers = as_size(workers, "workers", least=1)
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     total = factorial(n)
     blocks = min(workers, total)
@@ -162,9 +158,7 @@ def bruteforce_minimal_prefixes(
     Each length lists the letters that may follow only for the letter sets
     its words hold, so a call does work in proportion to the words it meets.
     """
-    i, n = as_size(i, "i"), as_size(n)
-    if n < 3 or not 1 <= i <= n - 2:
-        raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
+    i, n = as_prefix_length(i, n)
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     table = _periodic_complement_table(n)
     # step[mask] = (letter, mask with it) for each unused letter whose addition
@@ -242,9 +236,7 @@ def bruteforce_shift_partition(
     it is a second orbit unless it is the orbit itself.  The pyramid key
     only labels the orbits, it plays no part in grouping.
     """
-    n = as_size(n)
-    if n < 2:
-        raise OutOfRange(f"defined for n >= 2, got {n}")
+    n = as_size(n, least=2)
     enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
     seen: set[tuple[int, ...]] = set()
     entries = {}
@@ -281,9 +273,8 @@ def bruteforce_shift_partition(
 def _check_sizes(check: str, n_max: int, limit: int | None) -> range:
     """The sizes ``check`` compares up to ``n_max``: refuse an ``n_max``
     below its least size, which would check nothing, or above its limit."""
-    n_max, least = as_size(n_max, "n_max"), _LEAST[check]
-    if n_max < least:
-        raise OutOfRange(f"check {check} starts at n={least}, got n_max={n_max}")
+    least = _LEAST[check]
+    n_max = as_size(n_max, f"n_max of check {check}", least)
     enforce_limit(n_max, limit, LIMITS[check])
     return range(least, n_max + 1)
 

@@ -11,50 +11,50 @@ it, serializing it, and rebuilding a class member from it.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import index
 from typing import Sequence
 
 from .errors import (
+    DuplicateLetter,
     InvalidPyramid,
     LengthMismatch,
     MalformedToken,
+    OutOfRange,
     SizeMismatch,
     SizeTooSmall,
 )
-from .words import as_permutation, inverse as _inverse
+from .words import _letters, as_permutation, inverse as _inverse
 
 DiffVector = tuple[int, ...]
 
 
 def consecutive_differences(values) -> DiffVector:
-    """Gaps between consecutive elements of a set, in increasing order.
+    """Gaps between consecutive elements of a set, in increasing order; the
+    elements are distinct integers, so every gap is positive.
 
     >>> consecutive_differences({2, 4, 6, 8})
     (2, 2, 2)
     """
-    try:  # integers only: float elements would give float gaps
-        xs = sorted(map(index, values))
-    except TypeError:
-        raise MalformedToken(f"elements must be integers, got {values!r}") from None
+    xs = sorted(_letters(values, "values"))
     if len(xs) < 2:
         raise SizeTooSmall("need at least two elements to take differences")
-    return tuple(b - a for a, b in zip(xs, xs[1:]))
+    gaps = tuple(b - a for a, b in zip(xs, xs[1:]))
+    if 0 in gaps:
+        raise DuplicateLetter(f"repeated element in {xs}")
+    return gaps
 
 
 def set_from_differences(start: int, diffs: Sequence[int]) -> tuple[int, ...]:
-    """Rebuild the increasing set with minimum ``start`` and the given gaps.
+    """Rebuild the increasing set with minimum ``start`` and the given gaps,
+    each at least 1.
 
     Inverse of :func:`consecutive_differences` once a minimum is fixed.
     """
-    try:
-        out = [index(start)]
-        for d in map(index, diffs):
-            out.append(out[-1] + d)
-    except TypeError:
-        raise MalformedToken(
-            f"start and gaps must be integers, got {start!r}, {diffs!r}"
-        ) from None
-    return tuple(out)
+    (start,), diffs = _letters((start,), "start"), _letters(diffs, "diffs")
+    if any(d < 1 for d in diffs):
+        raise OutOfRange(f"gaps of an increasing set are at least 1, got {diffs}")
+    return tuple(accumulate(diffs, initial=start))
 
 
 def _deletions(points, n: int):
@@ -112,10 +112,8 @@ def validate_transition(a: DiffVector, b: DiffVector) -> bool:
     >>> validate_transition((1, 3), (5,))
     False
     """
-    try:  # frozen as tuples of ints, so slices of a and b compare equal
-        a, b = tuple(map(index, a)), tuple(map(index, b))
-    except TypeError:
-        raise MalformedToken(f"levels must hold integers, got {a!r}, {b!r}") from None
+    # frozen as tuples of ints, so slices of a and b compare equal
+    a, b = _letters(a, "a"), _letters(b, "b")
     if len(a) < 2 or len(b) != len(a) - 1:
         raise LengthMismatch(f"cannot step from length {len(a)} to length {len(b)}")
     return _step(a, b) is not None
@@ -143,6 +141,14 @@ def _built(cls, levels: tuple[DiffVector, ...]):
     value = object.__new__(cls)
     object.__setattr__(value, "levels", levels)
     return value
+
+
+def _levels_of(tower, cls, error) -> tuple[DiffVector, ...]:
+    """The levels of ``tower``, which must be a ``cls``: the levels of any
+    other tower break the reading of ``cls``, so they raise ``error``."""
+    if isinstance(tower, cls):
+        return tower.levels
+    raise error(f"expected a {cls.__name__}, got {tower!r}")
 
 
 def _checked_tower(levels, error) -> tuple[DiffVector, ...]:
@@ -250,10 +256,7 @@ def class_size_exponent(p: PyramidalSequence) -> int:
     two ways, doubling the class; the final step down to the empty vector
     always counts, hence the baseline of 1.
     """
-    try:
-        levels = p.levels
-    except AttributeError:
-        raise InvalidPyramid(f"expected a PyramidalSequence, got {p!r}") from None
+    levels = _levels_of(p, PyramidalSequence, InvalidPyramid)
     return 1 + sum(b == a[1:] == a[:-1] for a, b in zip(levels, levels[1:]))
 
 
@@ -268,10 +271,7 @@ def canonical_member(p: PyramidalSequence) -> tuple[int, ...]:
     same d -- the left one is taken, which pins down one member of the class
     per choice point.
     """
-    try:
-        levels = p.levels + ((),)
-    except AttributeError:
-        raise InvalidPyramid(f"expected a PyramidalSequence, got {p!r}") from None
+    levels = _levels_of(p, PyramidalSequence, InvalidPyramid) + ((),)
     position = {p.n: 0}
     left = 0
     for i in range(p.n - 1, 0, -1):
@@ -301,12 +301,8 @@ def canonical_key(p: PyramidalSequence) -> bytes:
     Top-first order lets pyramids sharing a scaled upper part share a key
     prefix.
     """
-    try:
-        levels = p.levels
-    except AttributeError:
-        raise InvalidPyramid(f"expected a PyramidalSequence, got {p!r}") from None
     out = bytearray()
-    for level in reversed(levels):
+    for level in reversed(_levels_of(p, PyramidalSequence, InvalidPyramid)):
         for e in level:
             _encode_varint(e, out)
         out.append(0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import OutOfRange
 from .trapezoid import minimal_prefixes
 from .words import as_size, inverse
 
@@ -55,25 +54,16 @@ def inverse_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     >>> inverse_representatives(3)
     ((1, 2, 3), (2, 1, 3))
     """
-    n = as_size(n)
-    if n < 1:
-        raise OutOfRange(f"defined for n >= 1, got {n}")
-    return tuple(w for w, _ in _build(n))
+    return tuple(w for w, _ in _build(as_size(n, least=1)))
 
 
 def class_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     """Inverses of the assembled words: exactly one permutation per
     super-strong Wilf equivalence class of S_n, in matching order."""
-    n = as_size(n)
-    if n < 1:
-        raise OutOfRange(f"defined for n >= 1, got {n}")
-    return tuple(inverse(w) for w, _ in _build(n))
+    return tuple(inverse(w) for w, _ in _build(as_size(n, least=1)))
 
 
 def decompositions(n: int) -> tuple[tuple[tuple[int, ...], Decomposition], ...]:
     """Each assembled word with its (prefix length, prefix, reduced suffix)
     build record; sizes 1 and 2 carry an empty record."""
-    n = as_size(n)
-    if n < 1:
-        raise OutOfRange(f"defined for n >= 1, got {n}")
-    return _build(n)
+    return _build(as_size(n, least=1))

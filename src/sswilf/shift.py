@@ -19,7 +19,7 @@ from collections import namedtuple
 from operator import index
 from typing import Sequence
 
-from .errors import InvalidMove, OutOfRange, SizeMismatch
+from .errors import InvalidMove, SizeMismatch
 from .words import as_permutation, as_size, identity, reversal
 
 
@@ -187,8 +187,6 @@ def find_witness(
 def reversal_invariant_members(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Seeds of the two mirror-invariant classes of S_n (n >= 3): the
     identity and 1 2 .. (n-3) (n-1) (n-2) n."""
-    n = as_size(n)
-    if n < 3:
-        raise OutOfRange(f"defined for n >= 3, got {n}")
+    n = as_size(n, least=3)
     v = tuple(range(1, n - 2)) + (n - 1, n - 2, n)
     return identity(n), v

@@ -23,12 +23,13 @@ from .pyramid import (
     _built,
     _checked_tower,
     _deletions,
+    _levels_of,
     _step,
     consecutive_differences,
     is_periodic_vector,
     validate_transition,  # unused here; perfbench/tracing.py counts calls to this name
 )
-from .words import _letters, as_size, reduced_form, reversal
+from .words import _letters, as_prefix_length, as_size, reduced_form, reversal
 
 
 def is_periodic_set(values) -> bool:
@@ -83,10 +84,7 @@ def minimal_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     >>> minimal_prefixes(2, 5)
     ((2, 1), (2, 4), (4, 2), (4, 5))
     """
-    i, n = as_size(i, "i"), as_size(n)
-    if n < 3 or not 1 <= i <= n - 2:
-        raise OutOfRange(f"need n >= 3 and 1 <= i <= n-2, got i={i}, n={n}")
-    return _prefix_set(i, n)
+    return _prefix_set(*as_prefix_length(i, n))
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +156,7 @@ def trapezoid_to_prefix(t: TrapezoidalSequence) -> tuple[int, ...]:
     (height 1) both end drops fit and the least survivor is taken, so this
     walk returns the deleted-minimum reading, i.e. the prefix (1,).
     """
-    try:
-        levels = t.levels
-    except AttributeError:
-        raise InvalidTrapezoid(f"expected a TrapezoidalSequence, got {t!r}") from None
+    levels = _levels_of(t, TrapezoidalSequence, InvalidTrapezoid)
     survivors = list(range(1, t.n + 1))
     return tuple(survivors.pop(_step(a, b)) for a, b in zip(levels, levels[1:]))
 
@@ -228,10 +223,8 @@ def noninterval_to_prefix(b: Sequence[int], n: int) -> tuple[int, ...]:
     >>> noninterval_to_prefix((2, 3, 1), 5)
     (4, 5)
     """
-    b, n = _letters(b), as_size(n)
-    k = len(b) - 1
-    if not 1 <= k <= n - 2:
-        raise OutOfRange(f"pattern size {k + 1} does not fit inside 1..{n}")
+    b = _letters(b)
+    k, n = as_prefix_length(len(b) - 1, n, "len(b) - 1")
     if sorted(b) != list(range(1, k + 2)) or not _has_no_interval_suffix(b):
         raise NotInB(f"{b} is not an interval-suffix-free permutation")
     pivot = b[-1]

@@ -7,6 +7,13 @@ lexicographic ordering and hashing come for free.
 
 The generalized factor order compares words letterwise: u embeds into w at
 index j when every u_i is dominated by w_{j+i-1}.
+
+Every public function of the package checks its arguments on entry through
+shared guards, so each rule is stated once.  Here :func:`as_size` takes an
+integer size and its least value, :func:`as_prefix_length` the length i of
+a prefix over 1..n, :func:`enforce_limit` a sweep's size limit, and
+``_letters`` freezes a sequence of integers; ``pyramid._levels_of`` and
+``pyramid._checked_tower`` guard towers of levels.
 """
 from __future__ import annotations
 
@@ -28,17 +35,35 @@ from .errors import (
 _SEPARATORS = re.compile(r"[,\s]+")
 
 
-def as_size(value, name: str = "n") -> int:
-    """Validate an integer size or length parameter; its range is the
-    caller's to check.
+def as_size(value, name: str = "n", least: int | None = None) -> int:
+    """Validate an integer size or length parameter named ``name``, at least
+    ``least`` when that is given.
 
-    >>> as_size(5)
+    >>> as_size(5, least=1)
     5
     """
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise OutOfRange(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def as_prefix_length(i, n, name: str = "i", least: int = 1) -> tuple[int, int]:
+    """Validate the length i, named ``name``, of a prefix over 1..n: the
+    complement keeps at least two letters, so n >= 3 and least <= i <= n-2.
+
+    >>> as_prefix_length(2, 5)
+    (2, 5)
+    """
+    i, n = as_size(i, name), as_size(n)
+    if n < 3 or not least <= i <= n - 2:
+        raise OutOfRange(
+            f"need n >= 3 and {least} <= {name} <= n-2, got {name}={i}, n={n}"
+        )
+    return i, n
 
 
 def enforce_limit(n: int, limit: int | None, default: int) -> None:
@@ -48,13 +73,13 @@ def enforce_limit(n: int, limit: int | None, default: int) -> None:
         raise LimitExceeded(f"n={n} exceeds the size limit {bound}")
 
 
-def _letters(letters: Iterable[int]) -> tuple[int, ...]:
-    """Freeze letters as exact integers; a float, a string or any other
-    non-integer letter is malformed rather than rounded or parsed."""
+def _letters(letters: Iterable[int], name: str = "letters") -> tuple[int, ...]:
+    """Freeze the argument ``name`` as exact integers; a float, a string or
+    any other non-integer entry is malformed rather than rounded or parsed."""
     try:
         return tuple(map(index, letters))
     except TypeError:
-        raise MalformedToken(f"letters must be integers, got {letters!r}") from None
+        raise MalformedToken(f"{name} must be integers, got {letters!r}") from None
 
 
 def as_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -132,7 +157,7 @@ def format_word(w: Sequence[int]) -> str:
 
 def identity(n: int) -> tuple[int, ...]:
     """The identity permutation 1 2 ... n."""
-    return tuple(range(1, as_size(n) + 1))
+    return tuple(range(1, as_size(n, least=1) + 1))
 
 
 def inverse(u: Sequence[int]) -> tuple[int, ...]:
@@ -145,6 +170,8 @@ def inverse(u: Sequence[int]) -> tuple[int, ...]:
     """
     u = _letters(u)
     n = len(u)
+    if not n:
+        raise MissingLetter("a permutation has at least one letter")
     inv = [0] * n
     for i, x in enumerate(u):
         if not 0 < x <= n:

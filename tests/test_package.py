@@ -1,5 +1,6 @@
 """The package namespace: each public name loads its submodule on first
 access and is the very object that submodule defines."""
+import ast
 import os
 import subprocess
 import sys
@@ -47,3 +48,22 @@ def test_import_loads_no_submodule():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "['sswilf']"
+
+
+# names a module imports only so that another module can find them there
+_KEPT_FOR_OTHERS = {("trapezoid", "validate_transition")}  # perfbench/tracing.py
+
+
+def test_every_module_uses_what_it_imports():
+    for path in sorted(Path(sswilf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept = {name for module, name in _KEPT_FOR_OTHERS if module == path.stem}
+        assert imported - used - kept == set(), path.name

@@ -1,6 +1,8 @@
 """Public calls reject malformed permutations, tower levels and non-integer
 sizes with a UsageError, so the CLI keeps exit code 2 for bad input instead
-of leaking IndexError, ValueError, TypeError or AttributeError."""
+of leaking IndexError, ValueError, TypeError or AttributeError; and each size
+or prefix-length argument starts at its least value, raising OutOfRange
+below it."""
 import inspect
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import sswilf
 from sswilf import counting, oracle, pyramid, representatives, shift, trapezoid, words
-from sswilf.errors import UsageError, WilfError
+from sswilf.errors import OutOfRange, UsageError, WilfError
 
 BAD_CALLS = {
     "inverse": lambda: words.inverse((2, 3)),
@@ -90,7 +92,20 @@ BAD_CALLS = {
     "canonical_key_tuple": lambda: pyramid.canonical_key(((1,),)),
     "canonical_member_tuple": lambda: pyramid.canonical_member(((1,),)),
     "class_size_exponent_tuple": lambda: pyramid.class_size_exponent(((1,),)),
+    "canonical_member_trapezoid": lambda: pyramid.canonical_member(
+        trapezoid.prefix_to_trapezoid((2, 1), 5)),
+    "canonical_key_trapezoid": lambda: pyramid.canonical_key(
+        trapezoid.prefix_to_trapezoid((2, 1), 5)),
+    "trapezoid_to_prefix_pyramid": lambda: trapezoid.trapezoid_to_prefix(
+        pyramid.pyramidal_sequence((2, 1, 3))),
     "identity_float": lambda: words.identity(2.0),
+    "identity_zero": lambda: words.identity(0),
+    "identity_negative": lambda: words.identity(-2),
+    "inverse_empty": lambda: words.inverse(()),
+    "set_from_differences_zero_gap": lambda: pyramid.set_from_differences(3, (0, -2)),
+    "set_from_differences_negative_gap": lambda: pyramid.set_from_differences(1, (2, -1)),
+    "consecutive_differences_repeat": lambda: pyramid.consecutive_differences([2, 2]),
+    "is_periodic_set_repeat": lambda: trapezoid.is_periodic_set([1, 1, 1]),
     "reversal_int": lambda: words.reversal(0),
     "reduced_form_int": lambda: words.reduced_form(0),
     "reduced_form_mixed_letters": lambda: words.reduced_form(("a", 1)),
@@ -108,6 +123,60 @@ BAD_CALLS = {
 def test_bad_permutation_raises_usage_error(call):
     with pytest.raises(UsageError):
         call()
+
+
+# -- the domain of every size and prefix-length argument ---------------------------
+
+# each call of one size argument, and the least value it takes
+SIZE_DOMAINS = {
+    "identity": (words.identity, 1),
+    "noninterval_count": (counting.noninterval_count, 2),
+    "class_count": (counting.class_count, 1),
+    "shift_class_count": (counting.shift_class_count, 1),
+    "class_count_by_exponent_n": (lambda n: counting.class_count_by_exponent(1, n), 2),
+    "class_count_by_exponent_j": (lambda j: counting.class_count_by_exponent(j, 4), 0),
+    "bruteforce_ss_partition": (oracle.bruteforce_ss_partition, 2),
+    "bruteforce_ss_partition_workers": (
+        lambda w: oracle.bruteforce_ss_partition(3, workers=w), 1),
+    "bruteforce_shift_partition": (
+        lambda n: oracle.bruteforce_shift_partition(n, with_reversals=True), 2),
+    "check_ss": (oracle.check_ss, 2),
+    "check_prefixes": (oracle.check_prefixes, 3),
+    "check_shift": (oracle.check_shift, 2),
+    "class_representatives": (representatives.class_representatives, 1),
+    "inverse_representatives": (representatives.inverse_representatives, 1),
+    "decompositions": (representatives.decompositions, 1),
+    "reversal_invariant_members": (shift.reversal_invariant_members, 3),
+}
+
+
+@pytest.mark.parametrize("call, least", SIZE_DOMAINS.values(), ids=SIZE_DOMAINS.keys())
+def test_sizes_start_at_their_least_value(call, least):
+    call(least)
+    with pytest.raises(OutOfRange):
+        call(least - 1)
+
+
+# each call of a prefix length i over 1..n, and the least i it takes; the
+# permutation (2, 3, ..., i + 1, 1) has no interval suffix, so it is the
+# image of a prefix of length i
+PREFIX_DOMAINS = {
+    "periodic_prefix_count": (counting.periodic_prefix_count, 0),
+    "minimal_prefix_count": (counting.minimal_prefix_count, 1),
+    "minimal_prefixes": (trapezoid.minimal_prefixes, 1),
+    "bruteforce_minimal_prefixes": (oracle.bruteforce_minimal_prefixes, 1),
+    "noninterval_to_prefix": (
+        lambda i, n: trapezoid.noninterval_to_prefix((*range(2, i + 2), 1), n), 1),
+}
+
+
+@pytest.mark.parametrize("call, least", PREFIX_DOMAINS.values(), ids=PREFIX_DOMAINS.keys())
+def test_prefix_lengths_run_from_their_least_value_to_n_minus_two(call, least):
+    call(least, 3)
+    call(4, 6)
+    for i, n in ((least - 1, 3), (least, 2), (5, 6)):
+        with pytest.raises(OutOfRange):
+            call(i, n)
 
 
 # -- every public callable, on malformed arguments --------------------------------
