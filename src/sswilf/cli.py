@@ -188,7 +188,7 @@ def _cmd_reps(args) -> int:
     n = args.n
     words.enforce_limit(n, args.limit, _DEFAULT_REPS_LIMIT)
     records = representatives.decompositions(n)
-    members = [words.inverse(w) if args.invert else w for w, _ in records]
+    members = [words._invert(w) if args.invert else w for w, _ in records]
     if args.json:
         payload = {"n": n, "members": [list(m) for m in members]}
         if args.decompose:

@@ -7,11 +7,41 @@ shorter prefix already had that property isolates the minimal ones.  Chained
 through suffix scaling this yields the number of equivalence classes, the
 class counts by size, and the shift-class counts.
 
+How a minimal-prefix cell is filled.  Write D(i, n) for
+``minimal_prefix_count``, N for ``noninterval_count``, s = n - i for the
+complement size, Q_s[j] = ``periodic_prefix_count(j, s + j)`` = P(s, s+j)*j!
+with P(s, m) the number of s-term progressions in 1..m, and g = s - 1.
+
+* The j+1 interval complements give Q_s[j] = (j+1)! + R_s[j] with
+  R_s[j] = (P(s, s+j) - j - 1)*j!; R_s[j] = 0 for j < s-1, since a
+  difference-2 progression of s terms needs 2s-1 letters.
+* Non-interval permutations obey N(i+1) = (i+1)! - sum_{j=1}^{i-1} N(i-j+1)*(j+1)!.
+* Put D(k, n) = N(k+1) + E(k, n-k) into the double-counting relation
+  D(i, n) = Q_s[i] - sum_{j=1}^{i-1} D(i-j, n)*Q_s[j] and subtract the line
+  above.  The correction E is 0 for i <= s-2 (the stabilization
+  D(i, n) = N(i+1) for i < n//2) and otherwise
+
+      E(i, s) = R_s[i] - sum_{j=s-1}^{i-1} N(i-j+1)*R_s[j]
+                       - sum_{j=1}^{(i-s+1)//2} E(i-j, s+j)*Q_s[j],
+
+  whose last sum stays on row n.
+* Expanding P, R_s[j] = j! * sum (j-t+1) over t = g, 2g, ... <= j, so the
+  middle sum is sum_{t=g,2g,...<=i-1} U(i, t) with
+  U(i, t) = sum_{j=t}^{i-1} N(i-j+1)*j!*(j-t+1).  One U row serves every n;
+  two running sums fill it with at most i-1 products.
+
+So ``class_count(n)`` does about n**3/24 big-integer products where the plain
+relation does n**3/8; it is still cubic.  The rows a call needs are filled
+together, column by column (ascending i over all of them), so one U row is
+alive at a time.  A U row starts at the least gap g its rows read, so a row
+filled alone costs about what the plain relation costs.
+
 Each quantity lives in a module-level table that grows from the bottom up, so
 no recursion depth limits n and a filled cell is a list lookup.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
 
 from .errors import NegativeResult, ParityViolation
@@ -60,25 +90,50 @@ def _noninterval_table(n: int) -> list[int]:
     return a
 
 
-def _minimal_row(n: int) -> list[int]:
-    """[0, minimal_prefix_count(1, n), ..., minimal_prefix_count(n-2, n)].
+def _minimal_rows_for(sizes: range) -> dict[int, list[int]]:
+    """The rows [0, minimal_prefix_count(1, m), ..., minimal_prefix_count(m-2, m)]
+    for every m >= 3 in ``sizes``, filling the missing ones as N(i+1) + E(i, m-i)
+    (see the module docstring).
 
-    Cells i < n//2 are noninterval counts (the stabilization identity); the
-    rest solve the double-counting relation, whose factor
-    periodic_prefix_count(i-k, n-k) keeps the complement size n-i fixed.
+    Missing rows fill together, by ascending i over all of them, so one U row
+    serves every row and is the only one alive.  They hold their corrections E
+    while they fill and are published whole.
     """
-    row = _minimal_rows.get(n)
-    if row is None:
-        half = n // 2
-        row = [0] + _noninterval_table(half)[2:half + 1]
-        for i in range(half, n - 1):
-            q = _periodic_row(n - i, n)
-            total = q[i] - sum(map(mul, row[1:i], q[i - 1:0:-1]))
-            if total <= 0:
-                raise NegativeResult(f"minimal prefix count ({i}, {n}) = {total}")
-            row.append(total)
-        _minimal_rows[n] = row
-    return row
+    rows = _minimal_rows
+    new = {m: [0] * (m - 1) for m in sizes if m not in rows}
+    if not new:
+        return rows
+    top = max(new)
+    fact = _factorial_table(top)
+    nonint = _noninterval_table(top - 1)
+    for i in range(min(new) // 2, top - 1):
+        # E(i, m-i) is 0 on rows m >= 2i+2
+        targets = [m for m in range(i + 2, min(top, 2 * i + 1) + 1) if m in new]
+        if not targets:
+            continue
+        # u[t] = U(i, t), as a running sum of the tails sum_{j>=t} N(i-j+1)*j!;
+        # only t >= g is read, and the least g is the first target's
+        least = targets[0] - i - 1
+        terms = map(mul, nonint[2:i - least + 2], fact[i - 1:least - 1:-1])
+        u = [0] * least + list(accumulate(accumulate(terms)))[::-1]
+        for m in targets:
+            s = m - i
+            g = s - 1
+            reach = (i - g) // 2  # the last sum stops where E(i-j, s+j) turns 0
+            q = _periodic_row(s, s + reach)
+            row = new[m]  # E(i, s) = R_s[i] - middle sum - last sum
+            e = ((_progressions(s, m) - i - 1) * fact[i] - sum(u[g::g])
+                 - sum(map(mul, row[i - reach:i], q[reach:0:-1])))
+            if e < 0:
+                raise NegativeResult(f"minimal prefix correction ({i}, {m}) = {e}")
+            row[i] = e
+    for m, row in new.items():
+        h = m // 2
+        row[1:h] = nonint[2:h + 1]
+        for k in range(h, m - 1):
+            row[k] += nonint[k + 1]
+        rows[m] = row
+    return rows
 
 
 def periodic_prefix_count(i: int, n: int) -> int:
@@ -102,13 +157,15 @@ def minimal_prefix_count(i: int, n: int) -> int:
     splitting on its length k gives
     ``periodic_prefix_count(i, n) = sum_k minimal(k, n) * periodic_prefix_count(i-k, n-k)``
     which is solved here for the minimal count.  Below length n//2 the count
-    stabilizes at ``noninterval_count(i + 1)``.
+    stabilizes at ``noninterval_count(i + 1)``; from there on it is
+    ``noninterval_count(i + 1)`` plus a correction E(i, n-i) with a recurrence
+    of its own (module docstring).
 
     >>> minimal_prefix_count(5, 10)
     488
     """
     i, n = as_prefix_length(i, n)
-    return _minimal_row(n)[i]
+    return _minimal_rows_for(range(n, n + 1))[n][i]
 
 
 def noninterval_count(n: int) -> int:
@@ -132,9 +189,9 @@ def class_count(n: int) -> int:
     """
     n = as_size(n, least=1)
     counts = _class_counts
+    rows = _minimal_rows_for(range(len(counts), n + 1))
     for m in range(len(counts), n + 1):
-        row = _minimal_row(m)
-        counts.append(counts[m - 1] + sum(map(mul, row[2:m - 1], counts[m - 2:1:-1])))
+        counts.append(counts[m - 1] + sum(map(mul, rows[m][2:m - 1], counts[m - 2:1:-1])))
     return counts[n]
 
 
@@ -149,6 +206,7 @@ def class_count_by_exponent(j: int, n: int) -> int:
     j, n = as_size(j, "j", least=0), as_size(n, least=2)
     if j == 0 or j > n - 1:
         return 0
+    rows = _minimal_rows_for(range(4, n + 1))
     columns = _counts_by_exponent
     columns.extend([] for _ in range(len(columns), j + 1))
     for e in range(j + 1):  # cell (j, n) needs (e, m) only for m - e <= n - j
@@ -159,9 +217,8 @@ def class_count_by_exponent(j: int, n: int) -> int:
             elif m <= 3:
                 column.append(1)
             else:
-                row = _minimal_row(m)
                 column.append(columns[e - 1][m - 1] + sum(
-                    map(mul, row[2:m - e], column[m - 2:e:-1])
+                    map(mul, rows[m][2:m - e], column[m - 2:e:-1])
                 ))
     return columns[j][n]
 

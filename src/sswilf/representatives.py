@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .trapezoid import minimal_prefixes
-from .words import as_size, inverse
+from .words import _invert, as_size
 
 Decomposition = tuple[int, tuple[int, ...], tuple[int, ...]]
 
@@ -60,7 +60,7 @@ def inverse_representatives(n: int) -> tuple[tuple[int, ...], ...]:
 def class_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     """Inverses of the assembled words: exactly one permutation per
     super-strong Wilf equivalence class of S_n, in matching order."""
-    return tuple(inverse(w) for w, _ in _build(as_size(n, least=1)))
+    return tuple(_invert(w) for w, _ in _build(as_size(n, least=1)))
 
 
 def decompositions(n: int) -> tuple[tuple[tuple[int, ...], Decomposition], ...]:

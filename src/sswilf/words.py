@@ -114,7 +114,8 @@ def parse_permutation(text: str, n_hint: int | None = None) -> tuple[int, ...]:
     Two formats are accepted: a compact digit string such as ``"592738164"``
     (one digit per letter, so only usable while all letters are <= 9), and a
     comma- or space-separated list such as ``"3, 12, 1, 2"`` which is
-    required as soon as a letter exceeds 9.
+    required as soon as a letter exceeds 9.  ``n_hint``, when given, is the
+    size the permutation must have, an integer >= 1.
 
     >>> parse_permutation("1")
     (1,)
@@ -142,7 +143,7 @@ def parse_permutation(text: str, n_hint: int | None = None) -> tuple[int, ...]:
     else:
         raise MalformedToken(f"cannot read {text!r} as a permutation")
     u = as_permutation(letters)
-    if n_hint is not None and len(u) != n_hint:
+    if n_hint is not None and len(u) != as_size(n_hint, "n_hint", least=1):
         raise MissingLetter(f"expected a permutation of 1..{n_hint}, got size {len(u)}")
     return u
 
@@ -172,13 +173,23 @@ def inverse(u: Sequence[int]) -> tuple[int, ...]:
     n = len(u)
     if not n:
         raise MissingLetter("a permutation has at least one letter")
-    inv = [0] * n
-    for i, x in enumerate(u):
-        if not 0 < x <= n:
-            raise MissingLetter(f"letters of {u} are not exactly 1..{n}")
-        if inv[x - 1]:
-            raise DuplicateLetter(f"duplicate letter {x} in {u}")
-        inv[x - 1] = i + 1
+    if min(u) < 1:
+        raise MissingLetter(f"letters of {u} are not exactly 1..{n}")
+    try:
+        inv = _invert(u)
+    except IndexError:  # a letter above n
+        raise MissingLetter(f"letters of {u} are not exactly 1..{n}") from None
+    if 0 in inv:  # a repeated letter left its partner's slot empty
+        raise DuplicateLetter(f"duplicate letter in {u}")
+    return inv
+
+
+def _invert(u: Sequence[int]) -> tuple[int, ...]:
+    """Inverse of a permutation of 1..n that is known to be one, unchecked:
+    for words the library assembled itself."""
+    inv = [0] * len(u)
+    for i, x in enumerate(u, 1):
+        inv[x - 1] = i
     return tuple(inv)
 
 

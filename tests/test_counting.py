@@ -222,7 +222,55 @@ def _plain_recurrence_tables(n_max):
     return minimal, counts
 
 
+def _stabilized_recurrence_rows(n_max):
+    """Minimal-prefix rows by the stabilized subtraction recurrence: cells
+    i < n//2 are noninterval counts, each later cell subtracts a full sum over
+    the shorter minimal prefixes."""
+    nonint = [0, 0, 2]
+    for m in range(3, n_max):
+        nonint.append(factorial(m) - sum(
+            nonint[k] * factorial(m - k + 1) for k in range(2, m)
+        ))
+    rows = {}
+    for n in range(3, n_max + 1):
+        row = [0] + nonint[2:n // 2 + 1]
+        for i in range(n // 2, n - 1):
+            q = [_periodic(j, n - i + j) for j in range(i + 1)]  # complement size n-i
+            row.append(q[i] - sum(row[k] * q[i - k] for k in range(1, i)))
+        rows[n] = row
+    return rows
+
+
+def _correction(i, s):
+    """E(i, s): how far the minimal-prefix cell (i, i+s) exceeds N(i+1)."""
+    return minimal_prefix_count(i, i + s) - noninterval_count(i + 1)
+
+
+class TestCorrection:
+    def test_zero_below_the_diagonal_and_positive_from_it(self):
+        for n in range(3, 61):
+            for i in range(1, n - 1):
+                e = _correction(i, n - i)
+                if i <= n - i - 2:
+                    assert e == 0, (i, n)
+                else:
+                    assert e > 0, (i, n)
+
+    def test_first_diagonal_is_a_factorial(self):
+        for i in range(1, 30):
+            assert _correction(i, i + 1) == factorial(i), i
+
+    def test_second_diagonal(self):
+        for i in range(3, 31):
+            assert _correction(i, i) == 2 * (i - 1) * factorial(i - 1), i
+
+
 class TestAgainstPlainRecurrence:
+    def test_every_minimal_prefix_cell_through_100(self):
+        for n, row in _stabilized_recurrence_rows(100).items():
+            for i in range(1, n - 1):
+                assert minimal_prefix_count(i, n) == row[i], (i, n)
+
     def test_every_minimal_prefix_cell_through_40(self):
         minimal, _ = _plain_recurrence_tables(40)
         for (i, n), value in minimal.items():

@@ -113,6 +113,9 @@ BAD_CALLS = {
     "format_word_text_letter": lambda: words.format_word(("a",)),
     "parse_permutation_int": lambda: words.parse_permutation(123),
     "parse_permutation_bytes": lambda: words.parse_permutation(b"12"),
+    "parse_permutation_float_hint": lambda: words.parse_permutation("12", n_hint=2.0),
+    "parse_permutation_text_hint": lambda: words.parse_permutation("12", n_hint="2"),
+    "parse_permutation_zero_hint": lambda: words.parse_permutation("1", n_hint=0),
     "is_periodic_set_int": lambda: trapezoid.is_periodic_set(0),
     "is_periodic_vector_int": lambda: trapezoid.is_periodic_vector(1),
     "trapezoid_to_prefix_tuple": lambda: trapezoid.trapezoid_to_prefix(((1, 1),)),

@@ -8,6 +8,7 @@ from sswilf.errors import (
     MalformedToken,
     MissingLetter,
     NonPositiveLetter,
+    OutOfRange,
 )
 from sswilf.words import (
     embedding_set,
@@ -72,6 +73,10 @@ class TestParse:
         assert parse_permutation("312", n_hint=3) == (3, 1, 2)
         with pytest.raises(MissingLetter):
             parse_permutation("312", n_hint=4)
+        # the hint is a size: an exact integer >= 1
+        for text, hint in (("12", 2.0), ("12", "2"), ("1", 0)):
+            with pytest.raises(OutOfRange):
+                parse_permutation(text, n_hint=hint)
 
     def test_empty(self):
         with pytest.raises(MalformedToken):
