@@ -18,7 +18,8 @@ library's moves.
 
 Each sweep refuses sizes above a limit (``DEFAULT_SS_LIMIT`` for the
 pyramid and prefix sweeps, ``DEFAULT_SHIFT_LIMIT`` for the orbit BFS) unless
-the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.
+the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.  No
+limit lets the pyramid sweep past ``kernel.MAX_N``.
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ LIMITS = {
 }
 # the least size each check_* cross-check compares; a smaller n_max checks nothing
 _LEAST = {"ss": 2, "prefixes": 3, "shift": 2}
+# the most a limit may allow: the kernel sweeps sizes up to its MAX_N only
+_MOST = {"ss": kernel.MAX_N}
 
 
 class ClassPartitionReport(
@@ -110,7 +113,7 @@ def bruteforce_ss_partition(
     """
     n = as_size(n, least=2)
     workers = as_size(workers, "workers", least=1)
-    enforce_limit(n, limit, DEFAULT_SS_LIMIT)
+    enforce_limit(n, limit, DEFAULT_SS_LIMIT, _MOST["ss"])
     total = factorial(n)
     blocks = min(workers, total)
     if blocks == 1:
@@ -275,7 +278,7 @@ def _check_sizes(check: str, n_max: int, limit: int | None) -> range:
     below its least size, which would check nothing, or above its limit."""
     least = _LEAST[check]
     n_max = as_size(n_max, f"n_max of check {check}", least)
-    enforce_limit(n_max, limit, LIMITS[check])
+    enforce_limit(n_max, limit, LIMITS[check], _MOST.get(check))
     return range(least, n_max + 1)
 
 

@@ -10,8 +10,20 @@ Mirroring the diagram turns the shift (h, d) of u into the shift (h, -d) of
 rev(u), with the result reversed.  So the shift class of u (under shifts and
 reversals) is its strong class joined with its members' reversals, and a
 shortest chain needs one reversal at most, placed last.  The walk behind
-every orbit, predicate and witness applies rigid shifts only; it checks no
-argument, as every public function validates its own on entry.
+every orbit, predicate and witness applies rigid shifts only.
+
+Each rule of a move is stated once, in ``_inside`` (the move stays in the
+diagram), ``_lands`` (every moved column lands on one at least as tall as
+the cut) and ``_shifted`` (the result), and both
+:func:`apply_rigid_shift` and :func:`enumerate_rigid_shifts` read them.
+
+The walk steps through the public :func:`enumerate_rigid_shifts`, so it
+checks every member it reaches as a permutation again.  That is kept on
+purpose: the benchmark's tracer times the walk's steps under the name
+``shift.enumerate_rigid_shifts`` (``shift.neighbours_per_member`` and its
+``us_per_call``), and a walk that skipped the check ran the ``queries``
+workload about twice as fast but raised its peak RSS past the 5% bound,
+because the harness keeps one Python int per latency.
 """
 from __future__ import annotations
 
@@ -61,34 +73,38 @@ def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]
         move = RigidShiftMove(*move)
     except TypeError:  # not a pair: 5, (5,), (1, 2, 3), None
         raise InvalidMove(f"a move is a (height, offset) pair, got {move!r}") from None
-    return _apply(as_permutation(u), move)
-
-
-def _apply(u: tuple[int, ...], move: RigidShiftMove) -> tuple[int, ...]:
+    u = as_permutation(u)
     n = len(u)
-    h, offset = move
+    h, d = move
     if h > n:
         raise InvalidMove(f"cut height {h} exceeds the diagram height {n}")
-    received = {}
-    for i, x in enumerate(u):
-        if x > h:
-            t = i + offset
-            if not 0 <= t < n:
-                raise InvalidMove(f"column {i + 1} would leave the diagram")
-            if u[t] < h:
-                raise InvalidMove(
-                    f"column {i + 1} would land on height {u[t]} < cut {h}"
-                )
-            received[t] = x
-    result = []
-    for j, x in enumerate(u):
-        if j in received:
-            result.append(received[j])
-        elif x >= h:
-            result.append(h)
-        else:
-            result.append(x)
-    return tuple(result)
+    moved = [i for i, x in enumerate(u) if x > h]
+    if moved and d not in _inside(n, moved):
+        raise InvalidMove(f"{move} takes a column of {u} out of the diagram")
+    if not _lands(u, h, d, moved):
+        raise InvalidMove(f"{move} lands a column of {u} on one below the cut")
+    return _shifted(u, h, d, moved)
+
+
+def _inside(n: int, moved: list[int]) -> range:
+    """The offsets that keep every column of ``moved`` (ascending, non-empty)
+    inside a diagram of n columns."""
+    return range(-moved[0], n - moved[-1])
+
+
+def _lands(u: tuple[int, ...], h: int, d: int, moved: list[int]) -> bool:
+    """The landing rule: each column of ``moved`` (those above the cut h),
+    moved d columns on, lands on a column at least h tall."""
+    return all(u[i + d] >= h for i in moved)
+
+
+def _shifted(u: tuple[int, ...], h: int, d: int, moved: list[int]) -> tuple[int, ...]:
+    """The result of the rigid shift (h, d) of ``u``, unchecked: every column
+    truncated at h, then each letter of ``moved`` put d columns on."""
+    r = [x if x < h else h for x in u]
+    for i in moved:
+        r[i + d] = u[i]
+    return tuple(r)
 
 
 def enumerate_rigid_shifts(
@@ -102,14 +118,9 @@ def enumerate_rigid_shifts(
     out = []
     for h in range(1, n):
         moved = [i for i, x in enumerate(u) if x > h]
-        lo = -min(moved)
-        hi = (n - 1) - max(moved)
-        for offset in range(lo, hi + 1):
-            if offset == 0:
-                continue
-            if all(u[i + offset] >= h for i in moved):
-                move = RigidShiftMove(h, offset)
-                out.append((move, _apply(u, move)))
+        for d in _inside(n, moved):
+            if d and _lands(u, h, d, moved):
+                out.append((RigidShiftMove(h, d), _shifted(u, h, d, moved)))
     return tuple(out)
 
 

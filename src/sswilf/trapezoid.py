@@ -41,22 +41,25 @@ def _complement(letters, n: int) -> set[int]:
     return set(range(1, n + 1)) - set(letters)
 
 
+def _is_trapezoid(levels: tuple[DiffVector, ...]) -> bool:
+    """The trapezoid rule on a tower of gap vectors over 1..n: its height is
+    1..n-2, and above the all-ones base only the top level is constant."""
+    n, height = len(levels[0]) + 1, len(levels) - 1
+    return 1 <= height <= n - 2 and all(
+        is_periodic_vector(level) == (j == height)
+        for j, level in enumerate(levels[1:], 1)
+    )
+
+
 def _deletion_tower(u: tuple[int, ...], n: int) -> tuple[DiffVector, ...] | None:
     """The levels :func:`~sswilf.pyramid._deletions` gives for ``u`` over
-    1..n, or None unless ``u`` is a minimal prefix: distinct letters, and
-    only the top level after the base constant."""
-    if n < 3 or not 1 <= len(u) <= n - 2:
-        return None
-    walk = _deletions(u, n)
-    levels = [next(walk)]
+    1..n, or None unless ``u`` is a minimal prefix: distinct letters of
+    1..n whose levels are a trapezoid."""
     try:
-        for level in walk:
-            levels.append(level)
-            if is_periodic_vector(level) != (len(levels) == len(u) + 1):
-                return None
+        levels = tuple(_deletions(u, n))
     except ValueError:  # a repeated letter or one outside 1..n
         return None
-    return tuple(levels)
+    return levels if _is_trapezoid(levels) else None
 
 
 def is_minimal_prefix(u: Sequence[int], n: int) -> bool:
@@ -109,16 +112,11 @@ class TrapezoidalSequence(_Tower):
 
     def __init__(self, levels):
         levels = _checked_tower(levels, InvalidTrapezoid)
-        n, height = len(levels[0]) + 1, len(levels) - 1
-        if not 1 <= height <= n - 2:
-            raise InvalidTrapezoid(f"height {height} out of range for size {n}")
-        if not is_periodic_vector(levels[-1]):
-            raise InvalidTrapezoid(f"top level {levels[-1]} is not constant")
-        for j in range(1, height):
-            if is_periodic_vector(levels[j]):
-                raise InvalidTrapezoid(
-                    f"interior level {j + 1} {levels[j]} must not be constant"
-                )
+        if not _is_trapezoid(levels):
+            raise InvalidTrapezoid(
+                f"{levels} is no trapezoid: it needs height 1..n-2 and, above "
+                "the base, a constant top level and no other constant level"
+            )
         object.__setattr__(self, "levels", levels)
 
     @property

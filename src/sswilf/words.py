@@ -66,9 +66,14 @@ def as_prefix_length(i, n, name: str = "i", least: int = 1) -> tuple[int, int]:
     return i, n
 
 
-def enforce_limit(n: int, limit: int | None, default: int) -> None:
-    """Raise ``LimitExceeded`` when n is above ``limit`` (``default`` if None)."""
+def enforce_limit(
+    n: int, limit: int | None, default: int, most: int | None = None
+) -> None:
+    """Raise ``LimitExceeded`` when n is above ``limit`` (``default`` if None),
+    or above ``most``, when that is given, whatever the limit."""
     bound = default if limit is None else as_size(limit, "limit")
+    if most is not None:
+        bound = min(bound, most)
     if n > bound:
         raise LimitExceeded(f"n={n} exceeds the size limit {bound}")
 
@@ -85,9 +90,8 @@ def _letters(letters: Iterable[int], name: str = "letters") -> tuple[int, ...]:
 def as_word(letters: Iterable[int]) -> tuple[int, ...]:
     """Validate and freeze a word (letters may repeat, all must be >= 1)."""
     w = _letters(letters)
-    for x in w:
-        if x < 1:
-            raise NonPositiveLetter(f"letter {x} is not a positive integer")
+    if w and min(w) < 1:
+        raise NonPositiveLetter(f"letter {min(w)} is not a positive integer")
     return w
 
 
@@ -164,29 +168,18 @@ def identity(n: int) -> tuple[int, ...]:
 def inverse(u: Sequence[int]) -> tuple[int, ...]:
     """Inverse permutation: the result t satisfies t[u[i]-1] == i+1.
 
-    Raises a ``UsageError`` when ``u`` is not a permutation of 1..n.
+    ``u`` is checked by :func:`as_permutation`, so a word that is not a
+    permutation of 1..n raises the same ``UsageError`` there and here.
 
     >>> inverse((5, 9, 2, 7, 3, 8, 1, 6, 4))
     (7, 3, 5, 9, 1, 8, 4, 6, 2)
     """
-    u = _letters(u)
-    n = len(u)
-    if not n:
-        raise MissingLetter("a permutation has at least one letter")
-    if min(u) < 1:
-        raise MissingLetter(f"letters of {u} are not exactly 1..{n}")
-    try:
-        inv = _invert(u)
-    except IndexError:  # a letter above n
-        raise MissingLetter(f"letters of {u} are not exactly 1..{n}") from None
-    if 0 in inv:  # a repeated letter left its partner's slot empty
-        raise DuplicateLetter(f"duplicate letter in {u}")
-    return inv
+    return _invert(as_permutation(u))
 
 
 def _invert(u: Sequence[int]) -> tuple[int, ...]:
     """Inverse of a permutation of 1..n that is known to be one, unchecked:
-    for words the library assembled itself."""
+    for words already checked, or assembled by the library itself."""
     inv = [0] * len(u)
     for i, x in enumerate(u, 1):
         inv[x - 1] = i

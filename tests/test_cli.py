@@ -273,6 +273,17 @@ class TestEquivCommand:
         code, _, err = run(capsys, "equiv", "12", "123", "--relation", "ss")
         assert code == 2
 
+    def test_witness_walks_the_orbit_once(self, capsys, monkeypatch):
+        from sswilf import shift
+
+        walks = []
+        closure = shift._closure
+        monkeypatch.setattr(shift, "_closure", lambda *a: walks.append(a) or closure(*a))
+        code, out, _ = run(
+            capsys, "equiv", "32415", "42513", "--relation", "shift", "--witness"
+        )
+        assert code == 0 and out.splitlines()[0] == "true" and len(walks) == 1
+
 
 class TestRepsCommand:
     def test_size_three(self, capsys):
@@ -336,6 +347,17 @@ class TestOracleCommand:
     def test_limit_exits_two(self, capsys):
         code, _, err = run(capsys, "oracle", "--check", "ss", "--n-max", "11")
         assert code == 2
+
+    def test_size_past_the_kernel_refused_before_any_sweep(self, capsys, monkeypatch):
+        from sswilf import kernel, oracle
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("no size may be swept")
+
+        monkeypatch.setattr(oracle, "bruteforce_ss_partition", sweep)
+        n = str(kernel.MAX_N + 1)
+        code, out, err = run(capsys, "oracle", "--check", "ss", "--n-max", n, "--limit", n)
+        assert code == 2 and out == "" and "error" in err
 
     def test_workers_below_one_exits_two(self, capsys):
         code, out, err = run(

@@ -70,7 +70,9 @@ class TestEnumerate:
     def test_equals_a_scan_of_every_move(self):
         # every (height, offset) through apply_rigid_shift, in that order,
         # keeping the moves that do not raise and change something: a cut
-        # below n moves a non-empty set of columns, which never lands on itself
+        # below n moves a non-empty set of columns, which never lands on itself.
+        # Both read one statement of each move rule, so they must agree both
+        # ways: a listed move applies to its listed result, any other raises
         for n in range(1, 7):
             for u in symmetric_group(n):
                 scanned = []

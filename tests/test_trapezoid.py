@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from sswilf.errors import (
@@ -7,7 +9,7 @@ from sswilf.errors import (
     OutOfRange,
     SizeTooSmall,
 )
-from sswilf.pyramid import consecutive_differences, set_from_differences
+from sswilf.pyramid import _deletions, consecutive_differences, set_from_differences
 from sswilf.trapezoid import (
     TrapezoidalSequence,
     is_minimal_prefix,
@@ -132,6 +134,19 @@ class TestTrapezoids:
                 for u in minimal_prefixes(i, n):
                     t = prefix_to_trapezoid(u, n)
                     assert TrapezoidalSequence(t.levels) == t
+
+    def test_constructor_accepts_exactly_the_minimal_prefix_towers(self):
+        # one trapezoid rule: the deletion tower of a distinct-letter word is
+        # a TrapezoidalSequence exactly when the word is a minimal prefix
+        for n in range(3, 7):
+            for i in range(1, n - 1):
+                for u in permutations(range(1, n + 1), i):
+                    levels = tuple(_deletions(u, n))
+                    if is_minimal_prefix(u, n):
+                        assert TrapezoidalSequence(levels) == prefix_to_trapezoid(u, n)
+                    else:
+                        with pytest.raises(InvalidTrapezoid):
+                            TrapezoidalSequence(levels)
 
     def test_rejects_malformed_letters(self):
         for u in ((5, 5), (0, 3), (4, 8), (1, 2, 3, 4, 5, 6)):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sswilf
-from sswilf import counting, oracle, pyramid, representatives, shift, trapezoid, words
+from sswilf import (
+    counting, kernel, oracle, pyramid, representatives, shift, trapezoid, words,
+)
 from sswilf.errors import OutOfRange, UsageError, WilfError
 
 BAD_CALLS = {
@@ -102,6 +104,8 @@ BAD_CALLS = {
     "identity_zero": lambda: words.identity(0),
     "identity_negative": lambda: words.identity(-2),
     "inverse_empty": lambda: words.inverse(()),
+    "bruteforce_ss_partition_past_kernel": lambda: oracle.bruteforce_ss_partition(
+        kernel.MAX_N + 1, limit=kernel.MAX_N + 1),
     "set_from_differences_zero_gap": lambda: pyramid.set_from_differences(3, (0, -2)),
     "set_from_differences_negative_gap": lambda: pyramid.set_from_differences(1, (2, -1)),
     "consecutive_differences_repeat": lambda: pyramid.consecutive_differences([2, 2]),

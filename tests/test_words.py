@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,10 @@ from sswilf.errors import (
     MissingLetter,
     NonPositiveLetter,
     OutOfRange,
+    UsageError,
 )
 from sswilf.words import (
+    as_permutation,
     embedding_set,
     identity,
     inverse,
@@ -107,6 +110,27 @@ class TestInverse:
                 rng.shuffle(u)
                 u = tuple(u)
                 assert inverse(inverse(u)) == u
+
+    def test_rejects_what_as_permutation_rejects(self):
+        # one permutation rule: every word of length <= 3 over -1..5 meets
+        # the same error class in both, or none
+        def outcome(f, w):
+            try:
+                f(w)
+            except UsageError as e:
+                return type(e)
+
+        for k in range(4):
+            for w in product(range(-1, 6), repeat=k):
+                assert outcome(inverse, w) is outcome(as_permutation, w), w
+
+    def test_error_classes(self):
+        with pytest.raises(NonPositiveLetter):
+            inverse((0, 1))
+        with pytest.raises(DuplicateLetter):
+            inverse((1, 1, 5))
+        with pytest.raises(MissingLetter):
+            inverse((1, 3))
 
 
 class TestReversal:
