@@ -32,7 +32,18 @@ def _fmt(value: int, args) -> str:
 
 
 def _emit_json(payload) -> None:
+    # json.dumps renders the library's tuples as arrays, so payloads hold them
     print(json.dumps(payload, sort_keys=True))
+
+
+def _emit_words(args, payload: dict, key: str, ws) -> None:
+    """Print the words ``ws`` one per line, or with ``--json`` ``payload``
+    with them under ``key``."""
+    if args.json:
+        _emit_json({**payload, key: ws})
+    else:
+        for w in ws:
+            print(words.format_word(w))
 
 
 # -- pyramid ------------------------------------------------------------------
@@ -51,11 +62,11 @@ def _cmd_pyramid(args) -> int:
     if args.json:
         _emit_json(
             {
-                "permutation": list(u),
-                "levels": [list(v) for v in levels],
+                "permutation": u,
+                "levels": levels,
                 "exponent": j,
                 "class_size": 2**j,
-                "canonical_member": list(member),
+                "canonical_member": member,
             },
         )
     elif n == 1:
@@ -155,8 +166,8 @@ def _cmd_equiv(args) -> int:
             witness = found
     if args.json:
         payload = {
-            "u": list(u),
-            "v": list(v),
+            "u": u,
+            "v": v,
             "relation": relation,
             "equivalent": answer,
         }
@@ -188,23 +199,21 @@ def _cmd_reps(args) -> int:
     words.enforce_limit(n, args.limit, _DEFAULT_REPS_LIMIT)
     records = representatives.decompositions(n)
     members = [words._invert(w) if args.invert else w for w, _ in records]
-    if args.json:
-        payload = {"n": n, "members": [list(m) for m in members]}
-        if args.decompose:
-            payload["decompositions"] = [
-                {"i": i, "prefix": list(u), "pattern": list(tau)}
-                for _, (i, u, tau) in records
-            ]
-        _emit_json(payload)
-        return 0
-    for member, (_, (i, u, tau)) in zip(members, records):
-        if args.decompose and i:
-            print(
-                f"{words.format_word(member)}  prefix={words.format_word(u)} "
-                f"tail={words.format_word(tau)} i={i}"
-            )
-        else:
-            print(words.format_word(member))
+    if not args.decompose:
+        _emit_words(args, {"n": n}, "members", members)
+    elif args.json:
+        _emit_json({"n": n, "members": members, "decompositions": [
+            {"i": i, "prefix": u, "pattern": tau} for _, (i, u, tau) in records
+        ]})
+    else:
+        for member, (_, (i, u, tau)) in zip(members, records):
+            if i:
+                print(
+                    f"{words.format_word(member)}  prefix={words.format_word(u)} "
+                    f"tail={words.format_word(tau)} i={i}"
+                )
+            else:
+                print(words.format_word(member))
     return 0
 
 
@@ -214,13 +223,7 @@ def _cmd_prefixes(args) -> int:
     from . import trapezoid
 
     members = trapezoid.minimal_prefixes(args.i, args.n)
-    if args.json:
-        _emit_json(
-            {"i": args.i, "n": args.n, "members": [list(m) for m in members]},
-        )
-        return 0
-    for m in members:
-        print(words.format_word(m))
+    _emit_words(args, {"i": args.i, "n": args.n}, "members", members)
     return 0
 
 
@@ -233,18 +236,8 @@ def _cmd_shift_orbit(args) -> int:
     orbit = (
         shift.shift_class(u) if args.with_reversals else shift.strong_shift_class(u)
     )
-    members = sorted(orbit)
-    if args.json:
-        _emit_json(
-            {
-                "permutation": list(u),
-                "with_reversals": bool(args.with_reversals),
-                "orbit": [list(m) for m in members],
-            },
-        )
-        return 0
-    for m in members:
-        print(words.format_word(m))
+    payload = {"permutation": u, "with_reversals": args.with_reversals}
+    _emit_words(args, payload, "orbit", sorted(orbit))
     return 0
 
 
@@ -277,7 +270,7 @@ def _cmd_oracle(args) -> int:
     if args.json:
         _emit_json(
             {
-                "checks": list(checks),
+                "checks": checks,
                 "n_max": args.n_max,
                 "mismatches": mismatches,
             },
@@ -304,7 +297,7 @@ def _cmd_table(args) -> int:
             {
                 "table": 5,
                 "sets": {
-                    str(n): [list(w) for w in representatives.inverse_representatives(n)]
+                    str(n): representatives.inverse_representatives(n)
                     for n in range(3, n_max + 1)
                 },
             },

@@ -58,6 +58,7 @@ class RigidShiftMove(namedtuple("RigidShiftMove", "height offset")):
 def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]:
     """Perform one rigid shift.
 
+    The cut must lie below the diagram height, so that some column moves.
     Columns strictly above the cut move by ``move.offset``; each must land on
     a column of height >= cut (so its truncated height is exactly the cut).
     Landing positions take height cut + moved excess, the one tall column
@@ -76,10 +77,10 @@ def apply_rigid_shift(u: Sequence[int], move: RigidShiftMove) -> tuple[int, ...]
     u = as_permutation(u)
     n = len(u)
     h, d = move
-    if h > n:
-        raise InvalidMove(f"cut height {h} exceeds the diagram height {n}")
+    if h >= n:  # nothing stands above the cut, so nothing would move
+        raise InvalidMove(f"cut height {h} must be below the diagram height {n}")
     moved = [i for i, x in enumerate(u) if x > h]
-    if moved and d not in _inside(n, moved):
+    if d not in _inside(n, moved):
         raise InvalidMove(f"{move} takes a column of {u} out of the diagram")
     if not _lands(u, h, d, moved):
         raise InvalidMove(f"{move} lands a column of {u} on one below the cut")
@@ -110,9 +111,8 @@ def _shifted(u: tuple[int, ...], h: int, d: int, moved: list[int]) -> tuple[int,
 def enumerate_rigid_shifts(
     u: Sequence[int],
 ) -> tuple[tuple[RigidShiftMove, tuple[int, ...]], ...]:
-    """All valid moves with a non-empty moved set, with their results,
-    ordered by (height, offset).  Cuts at the full height move nothing and
-    are omitted."""
+    """All valid moves, with their results, ordered by (height, offset).
+    A cut at the full height would move nothing, so it is no move."""
     u = as_permutation(u)
     n = len(u)
     out = []

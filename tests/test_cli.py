@@ -11,8 +11,8 @@ import sswilf
 from sswilf.cli import main
 
 
-# What the count and table commands print, byte for byte; a JSON payload is
-# printed as json.dumps(payload, sort_keys=True).
+# What the count, table and listing commands print, byte for byte; a JSON
+# payload is printed as json.dumps(payload, sort_keys=True).
 GOLDEN_TEXT = {
     "count s --table --n-max 5": (
         "n  1  2  3  4   5\n"
@@ -74,6 +74,45 @@ GOLDEN_TEXT = {
         "  3        1   1   12\n"
         "  4            1    1\n"
         "  5                 1\n"
+    ),
+    "pyramid 592738164": (
+        "pyramid of 592738164 (size 9):\n"
+        "  level 8: (4)\n"
+        "  level 7: (2, 2)\n"
+        "  level 6: (2, 2, 2)\n"
+        "  level 5: (1, 2, 2, 2)\n"
+        "  level 4: (1, 2, 2, 2, 1)\n"
+        "  level 3: (1, 2, 1, 1, 2, 1)\n"
+        "  level 2: (1, 1, 1, 1, 1, 2, 1)\n"
+        "  level 1: (1, 1, 1, 1, 1, 1, 1, 1)\n"
+        "class size: 2^2 = 4\n"
+        "canonical member: 562837194\n"
+    ),
+    "pyramid 1": "the single-letter permutation has an empty pyramid\n",
+    "equiv 32415 42513 --relation shift --witness": "true\ncut 3 shift -2\n",
+    "reps --n 4 --decompose": (
+        "1234  prefix=1 tail=123 i=1\n"
+        "1324  prefix=1 tail=213 i=1\n"
+        "2134  prefix=21 tail=12 i=2\n"
+        "2314  prefix=23 tail=12 i=2\n"
+        "2413  prefix=24 tail=12 i=2\n"
+        "3124  prefix=31 tail=12 i=2\n"
+        "3214  prefix=32 tail=12 i=2\n"
+        "3412  prefix=34 tail=12 i=2\n"
+    ),
+    "reps --n 4 --invert": "1234\n1324\n2134\n3124\n3142\n2314\n3214\n3412\n",
+    "prefixes --i 2 --n 5": "21\n24\n42\n45\n",
+    "shift-orbit 32415 --with-reversals": (
+        "31425\n31524\n32415\n32514\n41523\n42513\n51423\n52413\n"
+    ),
+    "table 5 --n-max 4": (
+        "n=3:\n  123\n  213\n"
+        "n=4:\n  1234\n  1324\n  2134\n  2314\n  2413\n  3124\n  3214\n  3412\n"
+    ),
+    "oracle --check all --n-max 4": (
+        "check ss up to n=4: ok\n"
+        "check prefixes up to n=4: ok\n"
+        "check shift up to n=4: ok\n"
     ),
 }
 GOLDEN_JSON = {
@@ -140,6 +179,64 @@ GOLDEN_JSON = {
         {"i": 4, "n": 5, "value": 1}, {"i": 4, "n": 6, "value": 1},
         {"i": 5, "n": 6, "value": 1},
     ]},
+    "pyramid 592738164": {
+        "permutation": [5, 9, 2, 7, 3, 8, 1, 6, 4],
+        "levels": [
+            [1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 2, 1], [1, 2, 1, 1, 2, 1],
+            [1, 2, 2, 2, 1], [1, 2, 2, 2], [2, 2, 2], [2, 2], [4],
+        ],
+        "exponent": 2, "class_size": 4,
+        "canonical_member": [5, 6, 2, 8, 3, 7, 1, 9, 4],
+    },
+    "pyramid 1": {
+        "permutation": [1], "levels": [], "exponent": 0, "class_size": 1,
+        "canonical_member": [1],
+    },
+    "equiv 32415 42513 --relation shift --witness": {
+        "u": [3, 2, 4, 1, 5], "v": [4, 2, 5, 1, 3], "relation": "shift",
+        "equivalent": True, "witness": [{"height": 3, "offset": -2}],
+    },
+    "reps --n 4 --decompose": {
+        "n": 4,
+        "members": [
+            [1, 2, 3, 4], [1, 3, 2, 4], [2, 1, 3, 4], [2, 3, 1, 4],
+            [2, 4, 1, 3], [3, 1, 2, 4], [3, 2, 1, 4], [3, 4, 1, 2],
+        ],
+        "decompositions": [
+            {"i": 1, "prefix": [1], "pattern": [1, 2, 3]},
+            {"i": 1, "prefix": [1], "pattern": [2, 1, 3]},
+            {"i": 2, "prefix": [2, 1], "pattern": [1, 2]},
+            {"i": 2, "prefix": [2, 3], "pattern": [1, 2]},
+            {"i": 2, "prefix": [2, 4], "pattern": [1, 2]},
+            {"i": 2, "prefix": [3, 1], "pattern": [1, 2]},
+            {"i": 2, "prefix": [3, 2], "pattern": [1, 2]},
+            {"i": 2, "prefix": [3, 4], "pattern": [1, 2]},
+        ],
+    },
+    "reps --n 4 --invert": {"n": 4, "members": [
+        [1, 2, 3, 4], [1, 3, 2, 4], [2, 1, 3, 4], [3, 1, 2, 4],
+        [3, 1, 4, 2], [2, 3, 1, 4], [3, 2, 1, 4], [3, 4, 1, 2],
+    ]},
+    "prefixes --i 2 --n 5": {
+        "i": 2, "n": 5, "members": [[2, 1], [2, 4], [4, 2], [4, 5]],
+    },
+    "shift-orbit 32415 --with-reversals": {
+        "permutation": [3, 2, 4, 1, 5], "with_reversals": True,
+        "orbit": [
+            [3, 1, 4, 2, 5], [3, 1, 5, 2, 4], [3, 2, 4, 1, 5], [3, 2, 5, 1, 4],
+            [4, 1, 5, 2, 3], [4, 2, 5, 1, 3], [5, 1, 4, 2, 3], [5, 2, 4, 1, 3],
+        ],
+    },
+    "table 5 --n-max 4": {"table": 5, "sets": {
+        "3": [[1, 2, 3], [2, 1, 3]],
+        "4": [
+            [1, 2, 3, 4], [1, 3, 2, 4], [2, 1, 3, 4], [2, 3, 1, 4],
+            [2, 4, 1, 3], [3, 1, 2, 4], [3, 2, 1, 4], [3, 4, 1, 2],
+        ],
+    }},
+    "oracle --check all --n-max 4": {
+        "checks": ["ss", "prefixes", "shift"], "n_max": 4, "mismatches": [],
+    },
 }
 
 

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import hashlib
 import os
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from sswilf.counting import class_count, class_count_by_exponent, shift_class_co
 from sswilf.errors import LimitExceeded, OutOfRange
 from sswilf.oracle import (
     ClassPartitionReport,
-    _periodic_complement_table,
+    _periodic_complements,
     bruteforce_minimal_prefixes,
     bruteforce_shift_partition,
     bruteforce_ss_partition,
@@ -154,29 +155,41 @@ class TestMinimalPrefixSweep:
         # mask by mask: the letters missing from the mask, ascending, are at
         # least two and all their differences are equal
         for n in range(1, 13):
-            expected = bytearray(1 << n)
+            expected = set()
             for mask in range(1 << n):
                 rest = [x for x in range(1, n + 1) if not mask >> (x - 1) & 1]
                 gaps = {b - a for a, b in zip(rest, rest[1:])}
-                expected[mask] = len(rest) >= 2 and len(gaps) == 1
-            assert _periodic_complement_table(n) == expected
+                if len(rest) >= 2 and len(gaps) == 1:
+                    expected.add(mask)
+            assert _periodic_complements(n) == expected
 
     def test_same_tuple_as_a_filter_over_every_word(self):
         # every length-i word, scanned from its first letter until a prefix
         # leaves a periodic complement: kept only when that prefix is all of it
         for n in range(3, 9):
-            table = _periodic_complement_table(n)
+            periodic = _periodic_complements(n)
             for i in range(1, n - 1):
                 expected = []
                 for w in permutations(range(1, n + 1), i):
                     mask = 0
                     for j, x in enumerate(w):
                         mask |= 1 << (x - 1)
-                        if table[mask]:
+                        if mask in periodic:
                             if j == i - 1:
                                 expected.append(w)
                             break
                 assert bruteforce_minimal_prefixes(i, n) == tuple(expected)
+
+    def test_memory_follows_the_words_not_two_to_the_n(self):
+        # the two words of D(1, 22) need no table over the 2^22 letter sets
+        tracemalloc.start()
+        try:
+            found = bruteforce_minimal_prefixes(1, 22, limit=22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == ((1,), (22,))
+        assert peak < 1 << 20
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):

@@ -43,8 +43,11 @@ class TestApply:
             apply_rigid_shift((3, 2, 4, 1, 5), RigidShiftMove(3, 1))
 
     def test_cut_above_everything_moves_nothing(self):
+        # a cut at the full height moves no column, and no move leaves u as it is
         u = (3, 2, 4, 1, 5)
-        assert apply_rigid_shift(u, RigidShiftMove(5, 2)) == u
+        for h, d in ((5, 2), (5, -1), (5, 1000)):
+            with pytest.raises(InvalidMove):
+                apply_rigid_shift(u, RigidShiftMove(h, d))
 
     def test_results_are_permutations(self):
         for u in symmetric_group(5):

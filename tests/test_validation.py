@@ -83,6 +83,8 @@ BAD_CALLS = {
     "apply_rigid_shift_short_move": lambda: shift.apply_rigid_shift((1, 2), (5,)),
     "apply_rigid_shift_long_move": lambda: shift.apply_rigid_shift((1, 2), (1, 1, 1)),
     "apply_rigid_shift_no_move": lambda: shift.apply_rigid_shift((1, 2), None),
+    "apply_rigid_shift_cut_at_full_height": lambda: shift.apply_rigid_shift(
+        (1, 2, 3), (3, 1000)),
     "pyramidal_sequence_int": lambda: pyramid.pyramidal_sequence(0),
     "is_ss_equivalent_ints": lambda: pyramid.is_ss_equivalent(0, 0),
     "consecutive_differences_float": lambda: pyramid.consecutive_differences((1.5, 2)),
