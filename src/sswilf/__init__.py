@@ -27,6 +27,7 @@ _EXPORTS = {
     "kernel": ("KERNEL_BACKEND",),
     "oracle": (
         "ClassPartitionReport",
+        "bruteforce_minimal_prefix_row",
         "bruteforce_minimal_prefixes",
         "bruteforce_shift_partition",
         "bruteforce_ss_partition",

@@ -30,11 +30,39 @@ with P(s, m) the number of s-term progressions in 1..m, and g = s - 1.
   U(i, t) = sum_{j=t}^{i-1} N(i-j+1)*j!*(j-t+1).  One U row serves every n;
   two running sums fill it with at most i-1 products.
 
-So ``class_count(n)`` does about n**3/24 big-integer products where the plain
-relation does n**3/8; it is still cubic.  The rows a call needs are filled
-together, column by column (ascending i over all of them), so one U row is
-alive at a time.  A U row starts at the least gap g its rows read, so a row
-filled alone costs about what the plain relation costs.
+Filling every row through n takes about n**3/24 big-integer products where
+the plain relation takes n**3/8.  The rows a call needs are filled together,
+column by column (ascending i over all of them), so one U row is alive at a
+time.  A U row starts at the least gap g its rows read, so a row filled alone
+costs about what the plain relation costs.  ``class_count_by_exponent`` reads
+every row, so it is cubic; ``class_count`` reads none.
+
+How ``class_count`` avoids the cells.  Write c for ``class_count`` and
+p(l, n) = Q_{n-l}[l] for ``periodic_prefix_count``, with p(0, n) = 1.
+
+* Splitting on the length of the minimal prefix, and using D(1, n) = 2,
+  gives for n >= 4
+
+      c(n) = c(n-1) + sum_{i=2}^{n-2} D(i, n)*c(n-i)
+           = sum_{i=1}^{n-2} D(i, n)*c(n-i) - c(n-1).
+
+* Along row n the double-counting relation is the triangular system
+  p(l, n) = sum_{k=1}^{l} D(k, n)*p(l-k, n-k), whose coefficients
+  p(l-k, n-k) = Q_{n-l}[l-k] do not depend on n.  Transposed (the two sums
+  exchanged), it says that for any sequence x the convolution
+  F(n) = sum_{l=0}^{n-2} p(l, n)*x(n-l) satisfies
+
+      F(n) - x(n) = sum_{k=1}^{n-2} D(k, n)*F(n-k).
+
+* With x(2) = 1 and x(m) = -c(m-1) this is the split above, and
+  F(2) = 1 = c(2), F(3) = 3 - 1 = 2 = c(3), so F = c by induction on n.
+  As p(n-2, n) = n!/2 (any two letters form a progression),
+
+      c(n) = n!/2 - sum_{l=0}^{n-3} p(l, n)*c(n-1-l),   n >= 2.
+
+  Each size closes from the smaller ones with n-2 big-integer products, and
+  no D cell, N, E or U is read.  (Transposing the correction system of E
+  alone, whose coefficients are the same Q, gives the same weights x(s).)
 
 Each quantity lives in a module-level table that grows from the bottom up, so
 no recursion depth limits n and a filled cell is a list lookup.
@@ -51,7 +79,7 @@ _factorials = [1]  # index = k
 _nonintervals = [0, 0, 2]  # index = size; sizes 0 and 1 are undefined
 _periodic_rows: dict[int, list[int]] = {}  # s -> [periodic_prefix_count(j, s + j)]
 _minimal_rows: dict[int, list[int]] = {}  # n -> [0, minimal_prefix_count(1, n), ...]
-_class_counts = [0, 1, 1, 2]  # index = size
+_class_counts = [0, 1]  # index = size
 _counts_by_exponent: list[list[int]] = []  # [j][n]
 
 
@@ -184,14 +212,33 @@ def noninterval_count(n: int) -> int:
 def class_count(n: int) -> int:
     """Number of super-strong Wilf equivalence classes of S_n.
 
+    c(n) = n!/2 - sum_{l=0}^{n-3} periodic_prefix_count(l, n)*c(n-1-l), the
+    transposed class-count sum of the module docstring: each size closes from
+    the smaller ones with n-2 big-integer products, about n**2/2 through n,
+    and fills no minimal-prefix cell.  A call past the table extends it from
+    its top, so calls for ascending sizes cost what one call for the last
+    size costs.  Each new count must lie between c(n-1) and n!/2: c(n) - c(n-1)
+    is the minimal-prefix share of the split, and n!/2 - c(n) half the number
+    of members beyond two per class (every class of S_n, n >= 2, has 2**j >= 2
+    members), so both are counts.
+
     >>> class_count(10)
     1490564
     """
     n = as_size(n, least=1)
     counts = _class_counts
-    rows = _minimal_rows_for(range(len(counts), n + 1))
-    for m in range(len(counts), n + 1):
-        counts.append(counts[m - 1] + sum(map(mul, rows[m][2:m - 1], counts[m - 2:1:-1])))
+    if len(counts) <= n:
+        fact = _factorial_table(n)
+        for m in range(len(counts), n + 1):
+            periodic = map(mul, fact, (_progressions(m - l, m) for l in range(m - 2)))
+            half = fact[m] // 2
+            c = half - sum(map(mul, periodic, counts[m - 1:1:-1]))
+            if not counts[m - 1] <= c <= half:
+                raise NegativeResult(
+                    f"class count {c} for n={m} lies outside [c(n-1), n!/2] = "
+                    f"[{counts[m - 1]}, {half}]"
+                )
+            counts.append(c)
     return counts[n]
 
 

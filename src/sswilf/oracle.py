@@ -2,9 +2,9 @@
 
 Everything here recomputes, by exhaustive enumeration, quantities that the
 rest of the package obtains from recurrences, bijections, or structure rules:
-the partition of S_n by pyramid, the minimal-prefix sets, and the orbit
-partitions under rigid shifts.  The oracle side deliberately avoids the
-recursive shortcuts so that agreement is meaningful.
+the partition of S_n by pyramid, the minimal-prefix sets and their counts,
+and the orbit partitions under rigid shifts.  The oracle side deliberately
+avoids the recursive shortcuts so that agreement is meaningful.
 
 The minimal-prefix filter holds its words, the letter sets they reach, and
 the letter sets whose unused letters form a progression (1,381 of them at
@@ -188,6 +188,38 @@ def bruteforce_minimal_prefixes(
         words = [(w + (x,), m) for w, mask in words for x, m in step[mask]]
         masks = {m for mask in masks for _, m in step[mask]}
     return tuple(w for w, _ in words)
+
+
+def bruteforce_minimal_prefix_row(n: int, limit: int | None = None) -> tuple[int, ...]:
+    """Count the minimal prefixes over 1..n of every length from the
+    definition, listing none: ``row[i]`` is their number at length i, for
+    1 <= i <= n-2, and ``row[0]`` is 0.
+
+    Whether a word is a minimal prefix depends only on the letter sets of its
+    prefixes: a word of length i counts when the set of its first i letters
+    has a periodic complement and no shorter nonempty prefix's set has one.
+    So the words are counted through their sets, in one pass over the 2^n
+    used-letter masks in increasing order.  A mask outside the periodic ones
+    stores the number of words that reach it with no periodic prefix before,
+    the sum over its letters x of the number stored for the mask without x.
+    A periodic mask, of size i <= n-2, adds that sum to ``row[i]`` and stores
+    nothing, since no word goes on past it.  It holds 2^n counts, so it is
+    limited like the listing it checks.
+    """
+    n = as_size(n, least=3)
+    enforce_limit(n, limit, DEFAULT_SS_LIMIT)
+    periodic = _periodic_complements(n)
+    bits = [1 << x for x in range(n)]
+    ways = [0] * (1 << n)  # ways[mask]: words over the mask's letters, no periodic prefix
+    ways[0] = 1
+    row = [0] * (n - 1)
+    for mask in range(1, 1 << n):
+        total = sum(ways[mask ^ bit] for bit in bits if mask & bit)
+        if mask in periodic:
+            row[mask.bit_count()] += total
+        else:
+            ways[mask] = total
+    return tuple(row)
 
 
 def enumerate_rigid_shifts(

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sswilf
+from sswilf import counting
 from sswilf.counting import (
     class_count,
     class_count_by_exponent,
@@ -15,7 +16,7 @@ from sswilf.counting import (
     periodic_prefix_count,
     shift_class_count,
 )
-from sswilf.errors import OutOfRange
+from sswilf.errors import NegativeResult, OutOfRange
 
 import tables
 
@@ -138,6 +139,40 @@ class TestClassCount:
             )
             assert done.returncode == 0, (call, done.stderr)
             assert int(done.stdout) == eval(call), call
+
+    def test_a_grown_table_equals_a_cold_one(self):
+        # the table extends from its top: after a smaller call, and one size at
+        # a time, it must hold what a fresh interpreter's single call fills
+        env = dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1]))
+        runs = {
+            "cold": "class_count(150)",
+            "after 40": "class_count(40)",
+            "ascending": "[class_count(n) for n in range(1, 121)]",
+        }
+        printed = {}
+        for name, calls in runs.items():
+            code = (
+                "from sswilf.counting import class_count\n"
+                f"{calls}\n"
+                "print([class_count(n) for n in range(1, 151)])"
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, (name, done.stderr)
+            printed[name] = done.stdout
+        assert printed["after 40"] == printed["cold"]
+        assert printed["ascending"] == printed["cold"]
+
+    def test_a_count_outside_its_bounds_raises(self, monkeypatch):
+        # c(n-1) <= c(n) <= n!/2 holds for every n; a sign slip in the
+        # periodic counts breaks it at n = 3, on a table of its own
+        progressions = counting._progressions
+        monkeypatch.setattr(counting, "_class_counts", [0, 1])
+        monkeypatch.setattr(counting, "_progressions", lambda s, n: -progressions(s, n))
+        with pytest.raises(NegativeResult):
+            class_count(3)
 
 
 class TestClassCountByExponent:
@@ -280,6 +315,28 @@ class TestAgainstPlainRecurrence:
         _, counts = _plain_recurrence_tables(60)
         for n in range(1, 61):
             assert class_count(n) == counts[n], n
+
+    def test_class_counts_from_minimal_prefix_rows_through_100(self):
+        # the split on the minimal prefix, read from the filled rows: a
+        # second path to every class count, through D, N and E
+        counts = [0, 1, 1, 2]
+        for n in range(4, 101):
+            counts.append(counts[n - 1] + sum(
+                minimal_prefix_count(i, n) * counts[n - i] for i in range(2, n - 1)
+            ))
+        for n in range(1, 101):
+            assert class_count(n) == counts[n], n
+
+    def test_transposed_weights_are_shifted_counts(self):
+        # the transposed system y_s = c(s) - sum_{s'<s} Q_{s'}[s-s']*y_{s'},
+        # Q_{s'}[j] = periodic_prefix_count(j, s'+j), is solved by y_2 = 1 and
+        # y_s = -c(s-1): what collapses class_count to one convolution
+        y = {2: 1}
+        for s in range(3, 61):
+            y[s] = class_count(s) - sum(
+                periodic_prefix_count(s - t, s) * y[t] for t in range(2, s)
+            )
+            assert y[s] == -class_count(s - 1), s
 
     def test_double_counting_identity_through_40(self):
         for n in range(3, 41):

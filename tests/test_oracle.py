@@ -9,11 +9,17 @@ from pathlib import Path
 import pytest
 
 from sswilf import oracle
-from sswilf.counting import class_count, class_count_by_exponent, shift_class_count
+from sswilf.counting import (
+    class_count,
+    class_count_by_exponent,
+    minimal_prefix_count,
+    shift_class_count,
+)
 from sswilf.errors import LimitExceeded, OutOfRange
 from sswilf.oracle import (
     ClassPartitionReport,
     _periodic_complements,
+    bruteforce_minimal_prefix_row,
     bruteforce_minimal_prefixes,
     bruteforce_shift_partition,
     bruteforce_ss_partition,
@@ -194,6 +200,24 @@ class TestMinimalPrefixSweep:
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             bruteforce_minimal_prefixes(2, 10)
+
+
+class TestMinimalPrefixRow:
+    def test_every_cell_through_fourteen(self):
+        for n in range(3, 15):
+            assert bruteforce_minimal_prefix_row(n, limit=14) == (0, *(
+                minimal_prefix_count(i, n) for i in range(1, n - 1)
+            )), n
+
+    def test_printed_cells_at_twelve(self):
+        # exhaustion settles the two cells the source prints differently
+        row = bruteforce_minimal_prefix_row(12, limit=12)
+        assert row[9] == 7_167_712
+        assert row[10] == 162_774_240
+
+    def test_limit(self):
+        with pytest.raises(LimitExceeded):
+            bruteforce_minimal_prefix_row(10)
 
 
 def _orbits_by_definition(n, with_reversals):

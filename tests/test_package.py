@@ -22,7 +22,7 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from sswilf import *", namespace)
     assert set(sswilf.__all__) <= set(namespace)
-    assert len(sswilf.__all__) == 56  # every public function, class and constant
+    assert len(sswilf.__all__) == 57  # every public function, class and constant
 
 
 def test_kernel_backend():

@@ -71,15 +71,16 @@ class TestEnumerate:
                 assert is_ss_equivalent(u, r)
 
     def test_equals_a_scan_of_every_move(self):
-        # every (height, offset) through apply_rigid_shift, in that order,
-        # keeping the moves that do not raise and change something: a cut
-        # below n moves a non-empty set of columns, which never lands on itself.
-        # Both read one statement of each move rule, so they must agree both
-        # ways: a listed move applies to its listed result, any other raises
+        # every (height, offset) below n through apply_rigid_shift, in that
+        # order, keeping the moves that do not raise: a cut below n moves a
+        # non-empty set of columns, which never lands on itself, so every move
+        # that applies changes u.  Both read one statement of each move rule,
+        # so they must agree both ways: a listed move applies to its listed
+        # result, any other raises.  A cut at n raises whatever the offset
         for n in range(1, 7):
             for u in symmetric_group(n):
                 scanned = []
-                for height in range(1, n + 1):
+                for height in range(1, n):
                     for offset in range(1 - n, n):
                         if offset == 0:
                             continue
@@ -88,9 +89,13 @@ class TestEnumerate:
                             r = apply_rigid_shift(u, move)
                         except InvalidMove:
                             continue
-                        if r != u:
-                            scanned.append((move, r))
+                        assert r != u, (u, move)
+                        scanned.append((move, r))
                 assert enumerate_rigid_shifts(u) == tuple(scanned)
+                for offset in range(-n, n + 1):
+                    if offset:
+                        with pytest.raises(InvalidMove):
+                            apply_rigid_shift(u, RigidShiftMove(n, offset))
 
     def test_mirror_takes_each_move_to_its_negated_offset(self):
         # the lemma the orbit oracle relies on, through its default limit S_7:

@@ -149,6 +149,7 @@ SIZE_DOMAINS = {
         lambda w: oracle.bruteforce_ss_partition(3, workers=w), 1),
     "bruteforce_shift_partition": (
         lambda n: oracle.bruteforce_shift_partition(n, with_reversals=True), 2),
+    "bruteforce_minimal_prefix_row": (oracle.bruteforce_minimal_prefix_row, 3),
     "check_ss": (oracle.check_ss, 2),
     "check_prefixes": (oracle.check_prefixes, 3),
     "check_shift": (oracle.check_shift, 2),
