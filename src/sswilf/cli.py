@@ -25,6 +25,8 @@ from . import counting, words
 from .errors import InternalError, UsageError
 
 _DEFAULT_REPS_LIMIT = 9
+# n = 10 lists at most 1,114,944 prefixes (i = 8), n = 11 up to 1.3e7 and n = 12 1.6e8
+_DEFAULT_PREFIXES_LIMIT = 10
 
 
 def _fmt(value: int, args) -> str:
@@ -222,6 +224,7 @@ def _cmd_reps(args) -> int:
 def _cmd_prefixes(args) -> int:
     from . import trapezoid
 
+    words.enforce_limit(args.n, args.limit, _DEFAULT_PREFIXES_LIMIT)
     members = trapezoid.minimal_prefixes(args.i, args.n)
     _emit_words(args, {"i": args.i, "n": args.n}, "members", members)
     return 0
@@ -361,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--limit", type=int, help="raise the size guard")
     p.set_defaults(func=_cmd_prefixes)
 
     p = sub.add_parser(

@@ -10,15 +10,22 @@ The minimal-prefix filter holds its words, the letter sets they reach, and
 the letter sets whose unused letters form a progression (1,381 of them at
 n = 30).  Nothing in it is sized by 2^n, so its memory follows its output.
 
+The class reports of the pyramid sweep and the orbit BFS share one drain,
+which counts the classes of each size and checks each distinct size once:
+it is a power of two, and the sizes sum to n!.
+
 The orbit BFS uses one lemma and no pyramid: mirroring the skyline diagram
 turns the rigid shift (h, d) of u into the rigid shift (h, -d) of rev(u),
 with the result reversed, so the rigid-shift orbit of rev(u) is the
 reversal of the orbit of u.  Each BFS thus yields a mirror pair of orbits,
 or one orbit under shifts and reversals.  The pyramid key only labels them.
-It steps with its own :func:`enumerate_rigid_shifts`, a scan of every cut
-and offset over position masks, and shares no move generator with
-``sswilf.shift``, so agreement with the library's orbits also checks the
-library's moves.
+Each label is built from the least member's position masks as
+``kernel.sweep_block`` builds a key, from the level bytes of the letters
+>= x for x = n down to 1, so it has the bytes of ``pyramid.canonical_key``
+and no pyramid is built.  The BFS steps with its own
+:func:`enumerate_rigid_shifts`, a scan of every cut and offset over position
+masks, and shares no move generator with ``sswilf.shift``, so agreement with
+the library's orbits also checks the library's moves.
 
 Each sweep refuses sizes above a limit (``DEFAULT_SS_LIMIT`` for the
 pyramid and prefix sweeps, ``DEFAULT_SHIFT_LIMIT`` for the orbit BFS) unless
@@ -31,10 +38,10 @@ import os
 from collections import namedtuple
 from itertools import permutations as _permutations
 from math import factorial
+from operator import itemgetter
 
 from . import kernel
 from .errors import InternalError
-from .pyramid import canonical_key, pyramidal_sequence
 from .words import as_prefix_length, as_size, enforce_limit
 
 DEFAULT_SS_LIMIT = 9
@@ -68,26 +75,32 @@ def _finish_report(n: int, table: dict) -> ClassPartitionReport:
 
     Classes leave the table one at a time, in insertion order, and each code
     becomes a tuple only as its row is written, so the table and the rows are
-    never held whole at once.  The table is empty, and cleared, before the
-    rows are sorted by least member and the histogram by exponent, so the
-    report does not depend on the order the table was filled in.
+    never held whole at once.  The drain only counts the classes of each
+    size; the checks run once per distinct size after it: each size must be
+    a power of two, and the sizes, times their counts, must sum to n!.  The
+    table is empty, and cleared, before the rows are sorted by least member
+    and the histogram by exponent, so the report does not depend on the
+    order the table was filled in.
     """
-    histogram: dict[int, int] = {}
+    per_size: dict[int, int] = {}  # class size -> number of classes of that size
     classes = []
-    total = 0
     pop = table.pop
     for key in list(table):
         size, code = pop(key)
+        per_size[size] = per_size.get(size, 0) + 1
+        classes.append((key, size, tuple(code.to_bytes(n, "big"))))
+    table.clear()
+    histogram: dict[int, int] = {}
+    total = 0
+    for size, count in per_size.items():
         j = size.bit_length() - 1
         if 1 << j != size:
             raise InternalError(f"class size {size} is not a power of two")
-        histogram[j] = histogram.get(j, 0) + 1
-        classes.append((key, size, tuple(code.to_bytes(n, "big"))))
-        total += size
-    table.clear()
+        histogram[j] = count
+        total += size * count
     if total != factorial(n):
         raise InternalError(f"class sizes sum to {total}, expected {factorial(n)}")
-    classes.sort(key=lambda item: item[2])
+    classes.sort(key=itemgetter(2))
     histogram = dict(sorted(histogram.items()))
     return ClassPartitionReport(n, len(classes), histogram, tuple(classes))
 
@@ -185,9 +198,12 @@ def bruteforce_minimal_prefixes(
             ]
             for mask in masks
         }
+        if last:
+            break
         words = [(w + (x,), m) for w, mask in words for x, m in step[mask]]
         masks = {m for mask in masks for _, m in step[mask]}
-    return tuple(w for w, _ in words)
+    # the last length keeps words only: no mask follows them
+    return tuple([w + (x,) for w, mask in words for x, _ in step[mask]])
 
 
 def bruteforce_minimal_prefix_row(n: int, limit: int | None = None) -> tuple[int, ...]:
@@ -275,16 +291,30 @@ def bruteforce_shift_partition(
     rigid shifts only, from the least permutation not yet seen, and reverses
     the orbit it finds: with reversals the mirror joins the orbit; without,
     it is a second orbit unless it is the orbit itself.  The pyramid key
-    only labels the orbits, it plays no part in grouping.
+    only labels the orbits, it plays no part in grouping.  Each label comes
+    from the positions of the least member's letters: with one
+    ``kernel._LevelBytes`` per call, the bytes of the level of the letters
+    >= x, looked up by their position mask for x = n down to 1, joined.
+    Those are the bytes of ``pyramid.canonical_key``, built as
+    ``kernel.sweep_block`` builds its keys.
     """
     n = as_size(n, least=2)
     enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
     seen: set[tuple[int, ...]] = set()
     entries = {}
+    level = kernel._LevelBytes()
+    join = b"".join
+    at = [0] * (n + 1)  # at[x] = 1 << the position of letter x in `least`
 
     def record(least: tuple[int, ...], size: int) -> None:
-        key = canonical_key(pyramidal_sequence(least))
-        entries[key] = (size, int.from_bytes(bytes(least), "big"))
+        for p, x in enumerate(least):
+            at[x] = 1 << p
+        mask = 0
+        parts = []
+        for x in range(n, 0, -1):
+            mask |= at[x]
+            parts.append(level[mask])
+        entries[join(parts)] = (size, int.from_bytes(bytes(least), "big"))
 
     for start in _permutations(range(1, n + 1)):
         if start in seen:
@@ -344,12 +374,14 @@ def check_ss(n_max: int, workers: int = 1, limit: int | None = None) -> list[str
 
 def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
     """Compare brute-forced minimal prefix sets against the recursive
-    construction and the counting recurrence."""
+    construction and the counting recurrence, and the row counted over
+    letter sets against the recurrence as well."""
     from .counting import minimal_prefix_count
     from .trapezoid import minimal_prefixes
 
     mismatches = []
     for n in _check_sizes("prefixes", n_max, limit):
+        row = bruteforce_minimal_prefix_row(n, limit=limit)
         for i in range(1, n - 1):
             brute = set(bruteforce_minimal_prefixes(i, n, limit=limit))
             built = set(minimal_prefixes(i, n))
@@ -364,6 +396,11 @@ def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
             if len(brute) != want:
                 mismatches.append(
                     f"(i={i}, n={n}): {len(brute)} prefixes, recurrence says {want}"
+                )
+            if row[i] != want:
+                mismatches.append(
+                    f"(i={i}, n={n}): {row[i]} prefixes counted over letter sets, "
+                    f"recurrence says {want}"
                 )
     return mismatches
 

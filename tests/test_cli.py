@@ -416,6 +416,14 @@ class TestPrefixesCommand:
         code, out, _ = run(capsys, "prefixes", "--i", "1", "--n", "5", "--json")
         assert json.loads(out)["members"] == [[1], [5]]
 
+    def test_limit_exits_two_before_listing(self, capsys):
+        code, out, err = run(capsys, "prefixes", "--i", "1", "--n", "11")
+        assert code == 2 and out == "" and "limit 10" in err
+
+    def test_limit_flag_raises_the_guard(self, capsys):
+        code, out, _ = run(capsys, "prefixes", "--i", "1", "--n", "11", "--limit", "11")
+        assert code == 0 and out.splitlines() == ["1", "11"]
+
 
 class TestShiftOrbitCommand:
     def test_plain_orbit(self, capsys):

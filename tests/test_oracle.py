@@ -15,7 +15,7 @@ from sswilf.counting import (
     minimal_prefix_count,
     shift_class_count,
 )
-from sswilf.errors import LimitExceeded, OutOfRange
+from sswilf.errors import InternalError, LimitExceeded, OutOfRange
 from sswilf.oracle import (
     ClassPartitionReport,
     _periodic_complements,
@@ -321,7 +321,7 @@ class TestOwnRigidShiftStep:
     def test_imports_nothing_from_the_shift_module(self):
         tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
         imported = set(_modules_imported(tree))
-        assert "sswilf.pyramid" in imported  # the walk reads relative imports
+        assert "sswilf.kernel" in imported  # the walk reads relative imports
         assert not {m for m in imported if m == "sswilf.shift" or m.startswith("sswilf.shift.")}
 
     def test_the_bfs_steps_through_the_module_global(self, monkeypatch):
@@ -341,11 +341,56 @@ class TestOwnRigidShiftStep:
             assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest, (n, flag)
 
 
+def _code(u):
+    return int.from_bytes(bytes(u), "big")
+
+
+class TestFinishReport:
+    def test_a_size_that_is_no_power_of_two_is_named(self):
+        table = {b"a": [3, _code((1, 2, 3))], b"b": [3, _code((2, 1, 3))]}
+        with pytest.raises(InternalError, match="class size 3 is not a power of two"):
+            oracle._finish_report(3, table)
+
+    def test_sizes_short_of_n_factorial(self):
+        table = {b"a": [2, _code((1, 2, 3))], b"b": [2, _code((2, 1, 3))]}
+        with pytest.raises(InternalError, match="class sizes sum to 4, expected 6"):
+            oracle._finish_report(3, table)
+
+    def test_histogram_and_rows_come_out_sorted(self):
+        members = [(4, 3, 2, 1), (2, 1, 3, 4), (3, 1, 2, 4), (1, 2, 3, 4), (1, 3, 2, 4)]
+        sizes = [8, 2, 4, 8, 2]  # exponents 3, 1, 2, 3, 1 in insertion order
+        table = {
+            bytes([k]): [size, _code(u)] for k, (size, u) in enumerate(zip(sizes, members))
+        }
+        report = oracle._finish_report(4, table)
+        assert table == {}
+        assert list(report.size_histogram.items()) == [(1, 2), (2, 1), (3, 2)]
+        assert report.class_count == 5
+        assert [row[2] for row in report.classes] == sorted(members)
+        assert [row[1] for row in report.classes] == [8, 2, 2, 4, 8]
+
+
 class TestChecks:
     def test_all_green_small(self):
         assert check_ss(5) == []
         assert check_prefixes(5) == []
         assert check_shift(4) == []
+
+    def test_prefixes_compares_the_letter_set_row(self, monkeypatch):
+        row = bruteforce_minimal_prefix_row
+
+        def off_by_one(n, limit=None):
+            counted = list(row(n, limit=limit))
+            if n == 5:
+                counted[2] += 1
+            return tuple(counted)
+
+        monkeypatch.setattr(oracle, "bruteforce_minimal_prefix_row", off_by_one)
+        want = minimal_prefix_count(2, 5)
+        assert check_prefixes(5) == [
+            f"(i=2, n=5): {want + 1} prefixes counted over letter sets, "
+            f"recurrence says {want}"
+        ]
 
     def test_limit_comes_before_any_sweep(self, monkeypatch):
         from sswilf import oracle
@@ -354,7 +399,7 @@ class TestChecks:
             raise AssertionError("swept before checking the limit")
 
         for name in ("bruteforce_ss_partition", "bruteforce_minimal_prefixes",
-                     "bruteforce_shift_partition"):
+                     "bruteforce_minimal_prefix_row", "bruteforce_shift_partition"):
             monkeypatch.setattr(oracle, name, fail)
         with pytest.raises(LimitExceeded):
             check_ss(10)

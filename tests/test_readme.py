@@ -13,6 +13,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 ANSWERS = {
     "count s --n 10": "1490564",
     "prefixes --i 2 --n 5": "21 24 42 45",
+    "prefixes --i 1 --n 11 --limit 11": "1 11",
 }
 
 
