@@ -100,6 +100,7 @@ _FAMILIES = {
 
 def _count_table(family: str, n_max: int, args) -> int:
     fn, row, least, first, below = _FAMILIES[family]
+    n_max = words.as_size(n_max, "n_max", least)  # a table with no column shows nothing
     cols = range(least, n_max + 1)
     if row is None:
         rows = [family]
@@ -293,7 +294,7 @@ def _cmd_table(args) -> int:
         return _count_table(family, 12 if args.n_max is None else args.n_max, args)
     from . import representatives
 
-    n_max = 6 if args.n_max is None else args.n_max
+    n_max = words.as_size(6 if args.n_max is None else args.n_max, "n_max", 3)
     words.enforce_limit(n_max, None, _DEFAULT_REPS_LIMIT)
     if args.json:
         _emit_json(

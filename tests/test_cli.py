@@ -539,6 +539,27 @@ class TestTableCommand:
             "n=3:", "n=4:"
         ]
 
+    def test_n_max_below_the_first_column_exits_two(self, capsys):
+        # a table with no column shows nothing, so it may not report success
+        for argv in (
+            "table 4 --n-max 1",
+            "table 2 --n-max 0",
+            "count d --table --n-max 2",
+            "table 5 --n-max 2",
+        ):
+            code, out, err = run(capsys, *argv.split())
+            assert code == 2 and out == "" and "n_max" in err, argv
+
+    def test_n_max_at_the_first_column_prints_it(self, capsys):
+        for argv in (
+            "table 1 --n-max 3",
+            "table 4 --n-max 2",
+            "table 2 --n-max 1",
+            "table 5 --n-max 3",
+        ):
+            code, out, _ = run(capsys, *argv.split())
+            assert code == 0 and out.strip(), argv
+
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys):

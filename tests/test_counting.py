@@ -96,6 +96,15 @@ class TestMinimalPrefixCount:
         for (i, n), wrong in printed.items():
             assert minimal_prefix_count(i, n) != wrong
 
+    def test_a_cell_below_one_raises(self, monkeypatch):
+        # every minimal count is positive; a sign slip in the periodic counts
+        # makes D(1, n) negative, on a table of its own
+        progressions = counting._progressions
+        monkeypatch.setattr(counting, "_minimal_rows", {})
+        monkeypatch.setattr(counting, "_progressions", lambda s, n: -progressions(s, n))
+        with pytest.raises(NegativeResult):
+            minimal_prefix_count(5, 10)
+
 
 class TestNonIntervalCount:
     def test_sequence(self):
@@ -126,11 +135,15 @@ class TestClassCount:
 
     def test_cold_cache_needs_no_recursion_depth(self):
         env = dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1]))
-        for call in ("class_count(150)", "class_count_by_exponent(150, 160)"):
+        for call in (
+            "class_count(150)",
+            "class_count_by_exponent(150, 160)",
+            "minimal_prefix_count(150, 300)",
+        ):
             # a fresh interpreter per call, so no size is cached before it
             code = (
                 "import sys; sys.setrecursionlimit(100)\n"
-                "from sswilf.counting import class_count, class_count_by_exponent\n"
+                "from sswilf.counting import *\n"
                 f"print({call})"
             )
             done = subprocess.run(
@@ -141,20 +154,29 @@ class TestClassCount:
             assert int(done.stdout) == eval(call), call
 
     def test_a_grown_table_equals_a_cold_one(self):
-        # the table extends from its top: after a smaller call, and one size at
-        # a time, it must hold what a fresh interpreter's single call fills
+        # the tables extend from their tops: after a smaller call, and in any
+        # order of calls, they must hold what a fresh interpreter's single
+        # call fills; the exponent columns grow by as many cells as a call needs
         env = dict(os.environ, PYTHONPATH=str(Path(sswilf.__file__).parents[1]))
         runs = {
-            "cold": "class_count(150)",
-            "after 40": "class_count(40)",
-            "ascending": "[class_count(n) for n in range(1, 121)]",
+            "cold": "class_count(150); class_count_by_exponent(30, 60)",
+            "after 40": (
+                "class_count(40); "
+                "[class_count_by_exponent(j, 60) for j in range(59, 0, -1)]"
+            ),
+            "ascending": (
+                "[class_count(n) for n in range(1, 121)]; "
+                "[class_count_by_exponent(j, n) for n in range(2, 61) for j in range(1, n)]"
+            ),
         }
         printed = {}
         for name, calls in runs.items():
             code = (
-                "from sswilf.counting import class_count\n"
+                "from sswilf.counting import class_count, class_count_by_exponent\n"
                 f"{calls}\n"
-                "print([class_count(n) for n in range(1, 151)])"
+                "print([class_count(n) for n in range(1, 151)])\n"
+                "print([[class_count_by_exponent(j, n) for j in range(1, n)]"
+                " for n in range(2, 61)])"
             )
             done = subprocess.run(
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -204,6 +226,16 @@ class TestClassCountByExponent:
             assert sum(
                 class_count_by_exponent(j, n) * 2**j for j in range(1, n)
             ) == factorial(n)
+
+    def test_a_negative_cell_raises(self, monkeypatch):
+        # a sign slip in the progression counts turns C_2(5) negative, on
+        # tables of their own
+        progressions = counting._progressions
+        monkeypatch.setattr(counting, "_periodic_rows", {})
+        monkeypatch.setattr(counting, "_counts_by_exponent", [])
+        monkeypatch.setattr(counting, "_progressions", lambda s, n: -progressions(s, n))
+        with pytest.raises(NegativeResult):
+            class_count_by_exponent(4, 10)
 
 
 class TestShiftClassCount:
@@ -276,6 +308,20 @@ def _stabilized_recurrence_rows(n_max):
     return rows
 
 
+def _exponent_columns_from_rows(n_max):
+    """Class counts by exponent as {(j, n): count}, by the split on the
+    minimal prefix: C_j(n) = C_{j-1}(n-1) + sum_{i=2}^{n-2} D(i, n)*C_j(n-i)
+    for n >= 4, with D read from minimal_prefix_count."""
+    cells = {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+    for n in range(4, n_max + 1):
+        row = [minimal_prefix_count(i, n) for i in range(2, n - 1)]
+        for j in range(1, n):
+            cells[j, n] = cells.get((j - 1, n - 1), 0) + sum(
+                d * cells.get((j, n - i), 0) for i, d in enumerate(row, start=2)
+            )
+    return cells
+
+
 def _correction(i, s):
     """E(i, s): how far the minimal-prefix cell (i, i+s) exceeds N(i+1)."""
     return minimal_prefix_count(i, i + s) - noninterval_count(i + 1)
@@ -318,7 +364,7 @@ class TestAgainstPlainRecurrence:
 
     def test_class_counts_from_minimal_prefix_rows_through_100(self):
         # the split on the minimal prefix, read from the filled rows: a
-        # second path to every class count, through D, N and E
+        # second path to every class count, through D
         counts = [0, 1, 1, 2]
         for n in range(4, 101):
             counts.append(counts[n - 1] + sum(
@@ -326,6 +372,12 @@ class TestAgainstPlainRecurrence:
             ))
         for n in range(1, 101):
             assert class_count(n) == counts[n], n
+
+    def test_every_exponent_cell_through_100(self):
+        # the same split per exponent: the weighted and plain row sums hold
+        # for any periodic counts, so only this pins the columns cell by cell
+        for (j, n), value in _exponent_columns_from_rows(100).items():
+            assert class_count_by_exponent(j, n) == value, (j, n)
 
     def test_transposed_weights_are_shifted_counts(self):
         # the transposed system y_s = c(s) - sum_{s'<s} Q_{s'}[s-s']*y_{s'},
