@@ -27,23 +27,48 @@ key byte.
   the other positions by their part ``b``, and every pair of an ``a`` and a
   ``b`` is the class of key ``a + b`` with count c_a * c_b.  Within one M a
   cell's two parts are chosen independently, so its count is the product.
+- **Translates share the upper part.** Let f = n - k be the run's first free
+  position.  When the head holds no letter above t (true of the whole-S_n
+  run), every level above t is a subset of M, so moving M and its
+  arrangement by s moves each of those masks by s.  Level bytes are gaps,
+  so ``a`` and c_a do not change, and the least value of ``a`` becomes
+  ``va >> 8*s``.  The run therefore tallies the upper letters once per
+  translation class, for the M with min(M) = f, and walks the shifts s in
+  ``range(n - max(M))``.  When the head holds a letter above t, each M
+  stands alone.
+- **Keys of one run meet only across translates.** The last upper level is
+  the gaps of ``above | M``, where ``above`` holds the positions of the head
+  letters above t, and gaps fix a set up to translation.  So two M whose
+  masks ``above | M`` are not translates give different parts ``a``.  With
+  ``above`` not empty, both masks start at min(above), so no two distinct M
+  are translates at all.  Within a run, then, each ``b`` of a class meets
+  each ``a`` once.
+- **The lower letters alone pick the least translate.** Let u_s place M + s,
+  and take s < s'.  Positions f..f+s-1 hold lower letters in both u_s and
+  u_s', and at position f+s, u_s holds an upper letter and u_s' a lower
+  one, so their lex order never depends on the upper arrangement.  So per
+  ``b`` the shifts merge into one count (the sum) and one least value (of
+  the shift that wins), ranked with any one upper value; then each ``a``
+  pairs once with each merged ``b``.
 - **Least members as values.** A permutation u is held as the integer
   v = sum of u[p] * 256^(n-1-p), whose numeric order is lex order.  The head
   and the two halves sit on disjoint positions, so their values add, and the
   least member of a cell is the head plus the least ``a`` arrangement plus
   the least ``b`` arrangement.  Arrangements of ascending letters on
   ascending positions come out of ``itertools.permutations`` in lex order,
-  so the first one seen per part is its least.  A key met under several M,
-  or in several runs, keeps the smaller value.  That value is what the
-  block returns as the class's least member, its base-256 code: the caller
-  turns it into a tuple (``tuple(v.to_bytes(n, "big"))``) only when it
-  writes the class out, so a block's table holds one int per class and no
-  tuple.
+  so the first one seen per part is its least.  A key met in several runs
+  keeps the smaller value.  That value is what the block returns as the
+  class's least member, its base-256 code: the caller turns it into a tuple
+  (``tuple(v.to_bytes(n, "big"))``) only when it writes the class out, so a
+  block's table holds one int per class and no tuple.
 
 The split at k // 2 balances the halves.  A run of k free letters with h of
-them lower walks C(k, h) * (h! + (k-h)!) arrangements, and that is least at
-the middle: for k = 9 it is 18,144 at h = 4 against 60,984 at h = 3 or 6,
-where the full S_9 has 362,880 permutations.
+them lower walks C(k, h) * h! lower arrangements, and C(k, h) * (k-h)! upper
+ones when M stands alone, or C(k-1, h) * (k-h)! when the upper letters are
+tallied once per translation class.  Either way the sum is least at the
+middle: for k = 9 the translation classes give 11,424 at h = 4 against
+16,464 at h = 5 and 40,824 at h = 3 (18,144 at h = 4 without them), where
+the full S_9 has 362,880 permutations.
 """
 from __future__ import annotations
 
@@ -114,11 +139,13 @@ def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
     weight = [1 << 8 * (n - 1 - p) for p in range(n)]  # 256^(n-1-p)
     bit = [0] * (n + 1)  # bit[letter] = 1 << its position
 
-    def tally(letters, spots, mask, levels):
-        """{key part: [count, least value]} over the arrangements of
-        ``letters`` on ``spots``.  The part is the levels of the letters in
-        ``levels``, top first; ``mask`` holds the positions of the letters
-        above the first of them."""
+    def tally(letters, spots, mask, levels, base, shift):
+        """{key part: [key part, count, least value, shift]} over the
+        arrangements of ``letters`` on ``spots``.  The part is the levels of
+        the letters in ``levels``, top first; ``mask`` holds the positions of
+        the letters above the first of them.  Each value starts at ``base``.
+        An entry holds its own part so that the entries alone, unpacked flat,
+        feed the pair loop."""
         parts_seen: dict[bytes, list] = {}
         for arrangement in permutations(letters):
             for x, p in zip(arrangement, spots):
@@ -131,10 +158,10 @@ def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
             part = join(parts)
             entry = parts_seen.get(part)
             if entry is None:
-                value = sum(x * weight[p] for x, p in zip(arrangement, spots))
-                parts_seen[part] = [1, value]
+                value = sum((x * weight[p] for x, p in zip(arrangement, spots)), base)
+                parts_seen[part] = [part, 1, value, shift]
             else:
-                entry[0] += 1
+                entry[1] += 1
         return parts_seen
 
     for head, free in _lex_runs(n, start, count):
@@ -148,15 +175,36 @@ def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
             head_value += x * weight[p]
             if x > t:
                 above |= bit[x]
-        span = range(n - k, n)
+        f = n - k  # the run's first free position
+        span = range(f, n)
+        up_levels, low_levels = range(n, t, -1), range(t, 0, -1)
         for spots in combinations(span, len(upper)):
-            ups = tally(upper, spots, 0, range(n, t, -1))
-            taken = sum(1 << p for p in spots)
-            rest = [p for p in span if not taken >> p & 1]
-            lows = tally(lower, rest, above | taken, range(t, 0, -1)).items()
-            for a, (ca, va) in ups.items():
-                va += head_value
-                for b, (cb, vb) in lows:
+            if above:
+                shifts = range(1)  # M stands alone
+            elif spots[0] > f:
+                break  # every class was walked from its M with min(M) = f
+            else:
+                shifts = range(n - spots[-1])  # M and its translates
+            ups = tally(upper, spots, 0, up_levels, 0, 0).values()
+            spot_mask = sum(1 << p for p in spots)
+            ups_at = [ups]  # ups_at[s]: the upper entries with M moved by s
+            for s in shifts:
+                taken = spot_mask << s
+                rest = [p for p in span if not taken >> p & 1]
+                seen = tally(lower, rest, above | taken, low_levels, head_value, s)
+                if not s:
+                    lows = seen  # b -> [b, count, least value, the shift it is at]
+                    continue
+                ups_at.append([(a, ca, va >> 8 * s, s) for a, ca, va, _ in ups])
+                probe = next(iter(ups))[2]  # any upper value ranks shifts
+                for b, low in seen.items():
+                    entry = lows.setdefault(b, low)
+                    if entry is not low:
+                        entry[1] += low[1]
+                        if low[2] + (probe >> 8 * s) < entry[2] + (probe >> 8 * entry[3]):
+                            entry[2:] = low[2:]
+            for b, cb, vb, s in lows.values():
+                for a, ca, va, _ in ups_at[s]:
                     key = a + b
                     value = va + vb
                     entry = get(key)

@@ -373,9 +373,13 @@ def check_ss(n_max: int, workers: int = 1, limit: int | None = None) -> list[str
 
 
 def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
-    """Compare brute-forced minimal prefix sets against the recursive
+    """Compare brute-forced minimal prefix listings against the recursive
     construction and the counting recurrence, and the row counted over
-    letter sets against the recurrence as well."""
+    letter sets against the recurrence as well.
+
+    Both listings are sorted tuples, so they are compared as they are, order
+    and repeats included; sets of the words are built only on a mismatch, to
+    name the words one listing has and the other lacks."""
     from .counting import minimal_prefix_count
     from .trapezoid import minimal_prefixes
 
@@ -383,15 +387,22 @@ def check_prefixes(n_max: int, limit: int | None = None) -> list[str]:
     for n in _check_sizes("prefixes", n_max, limit):
         row = bruteforce_minimal_prefix_row(n, limit=limit)
         for i in range(1, n - 1):
-            brute = set(bruteforce_minimal_prefixes(i, n, limit=limit))
-            built = set(minimal_prefixes(i, n))
+            brute = bruteforce_minimal_prefixes(i, n, limit=limit)
+            built = minimal_prefixes(i, n)
             if brute != built:
-                extra = sorted(built - brute)[:3]
-                missing = sorted(brute - built)[:3]
-                mismatches.append(
-                    f"(i={i}, n={n}): sets differ; built-only {extra}, "
-                    f"brute-only {missing}"
-                )
+                brute_set, built_set = set(brute), set(built)
+                if brute_set == built_set:
+                    mismatches.append(
+                        f"(i={i}, n={n}): same words, listed in another order "
+                        f"or with repeats"
+                    )
+                else:
+                    extra = sorted(built_set - brute_set)[:3]
+                    missing = sorted(brute_set - built_set)[:3]
+                    mismatches.append(
+                        f"(i={i}, n={n}): sets differ; built-only {extra}, "
+                        f"brute-only {missing}"
+                    )
             want = minimal_prefix_count(i, n)
             if len(brute) != want:
                 mismatches.append(

@@ -71,23 +71,71 @@ def test_aligned_runs_of_six_to_eight_free_letters():
         assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
 
 
+def _rank(u):
+    """Index of the permutation u in the lexicographic order (unrank's
+    inverse)."""
+    rank = 0
+    for p, x in enumerate(u):
+        rank += sum(y < x for y in u[p + 1 :]) * factorial(len(u) - 1 - p)
+    return rank
+
+
+def _run_with_head(rng, n, k, head_above_t):
+    """The start of a run of k free letters whose head holds a letter above
+    t, the largest of the k // 2 lower free letters, or holds none."""
+    while True:
+        u = list(range(1, n + 1))
+        rng.shuffle(u)
+        head, free = u[: n - k], sorted(u[n - k :])
+        if (max(head) > free[k // 2 - 1]) == head_above_t:
+            return _rank(head + free)
+
+
+# n = 10..13 and k = 6..8; the k = 8 run costs the library tally most
+_RUN_SHAPES = ((10, 6), (11, 7), (12, 8), (13, 6), (13, 7))
+
+
+def test_translated_runs_with_a_head():
+    # a head with no letter above t: the upper letters are tallied once per
+    # translation class and the shifts merge per lower part
+    rng = random.Random(25)
+    for n, k in _RUN_SHAPES:
+        run = factorial(k)
+        starts = [0] if k == 8 else [0, _run_with_head(rng, n, k, False)]
+        for start in starts:
+            assert start % run == 0
+            assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
+
+
+def test_runs_whose_head_holds_a_letter_above_t():
+    # each set of upper positions stands alone
+    rng = random.Random(26)
+    for n, k in _RUN_SHAPES:
+        run = factorial(k)
+        start = _run_with_head(rng, n, k, True)
+        assert start % run == 0
+        assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
+
+
 def test_blocks_merge_to_full_sweep():
-    n = 6
-    total = factorial(n)
-    full = kernel.sweep_block(n, 0, total)
-    merged = {}
-    bounds = [0, total // 3, total // 2, total]
-    for lo, hi in zip(bounds, bounds[1:]):
-        for key, (count, least) in kernel.sweep_block(n, lo, hi - lo).items():
-            entry = merged.setdefault(key, [0, least])
-            if entry[0]:
-                entry[0] += count
-                entry[1] = min(entry[1], least)
-            else:
-                entry[:] = [count, least]
-    assert {k: tuple(v) for k, v in merged.items()} == {
-        k: tuple(v) for k, v in full.items()
-    }
+    # S_9 is cut at odd ranks, multiples of no k! with k >= 2, so the blocks
+    # meet in short runs whose keys the neighbouring blocks also hold
+    for n, cuts in ((6, (240, 360)), (9, (120_961, 241_919))):
+        total = factorial(n)
+        full = kernel.sweep_block(n, 0, total)
+        merged = {}
+        bounds = [0, *cuts, total]
+        for lo, hi in zip(bounds, bounds[1:]):
+            for key, (count, least) in kernel.sweep_block(n, lo, hi - lo).items():
+                entry = merged.setdefault(key, [0, least])
+                if entry[0]:
+                    entry[0] += count
+                    entry[1] = min(entry[1], least)
+                else:
+                    entry[:] = [count, least]
+        assert {k: tuple(v) for k, v in merged.items()} == {
+            k: tuple(v) for k, v in full.items()
+        }
 
 
 def test_every_block_of_s4():

@@ -392,6 +392,48 @@ class TestChecks:
             f"recurrence says {want}"
         ]
 
+    def test_prefixes_compares_the_listings_in_order(self, monkeypatch):
+        listing = oracle.bruteforce_minimal_prefixes
+
+        def reversed_at_2_5(i, n, limit=None):
+            words = listing(i, n, limit=limit)
+            return words[::-1] if (i, n) == (2, 5) else words
+
+        monkeypatch.setattr(oracle, "bruteforce_minimal_prefixes", reversed_at_2_5)
+        # the same set of words, so a comparison of sets would miss it
+        assert set(reversed_at_2_5(2, 5)) == set(minimal_prefixes(2, 5))
+        assert check_prefixes(5) == [
+            "(i=2, n=5): same words, listed in another order or with repeats"
+        ]
+
+    def test_prefixes_reports_a_repeated_word(self, monkeypatch):
+        listing = oracle.bruteforce_minimal_prefixes
+
+        def repeat_at_3_5(i, n, limit=None):
+            words = listing(i, n, limit=limit)
+            return words + words[-1:] if (i, n) == (3, 5) else words
+
+        monkeypatch.setattr(oracle, "bruteforce_minimal_prefixes", repeat_at_3_5)
+        want = minimal_prefix_count(3, 5)
+        assert check_prefixes(5) == [
+            "(i=3, n=5): same words, listed in another order or with repeats",
+            f"(i=3, n=5): {want + 1} prefixes, recurrence says {want}",
+        ]
+
+    def test_prefixes_names_the_words_of_a_differing_set(self, monkeypatch):
+        listing = oracle.bruteforce_minimal_prefixes
+
+        def drop_first_at_2_5(i, n, limit=None):
+            words = listing(i, n, limit=limit)
+            return words[1:] if (i, n) == (2, 5) else words
+
+        monkeypatch.setattr(oracle, "bruteforce_minimal_prefixes", drop_first_at_2_5)
+        want = minimal_prefix_count(2, 5)
+        assert check_prefixes(5) == [
+            "(i=2, n=5): sets differ; built-only [(2, 1)], brute-only []",
+            f"(i=2, n=5): {want - 1} prefixes, recurrence says {want}",
+        ]
+
     def test_limit_comes_before_any_sweep(self, monkeypatch):
         from sswilf import oracle
 
