@@ -56,11 +56,15 @@ key byte.
   least member of a cell is the head plus the least ``a`` arrangement plus
   the least ``b`` arrangement.  Arrangements of ascending letters on
   ascending positions come out of ``itertools.permutations`` in lex order,
-  so the first one seen per part is its least.  A key met in several runs
-  keeps the smaller value.  That value is what the block returns as the
-  class's least member, its base-256 code: the caller turns it into a tuple
-  (``tuple(v.to_bytes(n, "big"))``) only when it writes the class out, so a
-  block's table holds one int per class and no tuple.
+  so the first one seen per part is its least.
+- **One row per pair.** Each pair of an ``a`` and a merged ``b`` appends the
+  row (value, ``a + b``, c_a * c_b) and looks nothing up.  By the two facts
+  above, a run meets each of its keys in one pair, so the rows of one run
+  hold distinct keys, and the whole-S_n block, one run, gives one row per
+  class.  A key can repeat only across runs, where the caller merges by
+  summing counts and keeping the smaller value.  The value is the class's
+  least member as a base-256 code: the caller turns it into a tuple
+  (``tuple(v.to_bytes(n, "big"))``) only when it writes the class out.
 
 The split at k // 2 balances the halves.  A run of k free letters with h of
 them lower walks C(k, h) * h! lower arrangements, and C(k, h) * (k-h)! upper
@@ -120,20 +124,21 @@ def _lex_runs(n: int, start: int, count: int):
         start += fact[k]
 
 
-def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
+def sweep_block(n: int, start: int, count: int) -> list[tuple[int, bytes, int]]:
     """Aggregate ``count`` permutations of S_n starting at lex index ``start``.
 
-    Returns {pyramid key: [class member count, code of the lex-least
-    member]}, where the code of u is sum of u[p] * 256^(n-1-p), so numeric
-    order is lex order.  Block results merge by summing counts and taking the
-    smaller code.
+    Returns rows (code of the lex-least member, pyramid key, member count),
+    where the code of u is sum of u[p] * 256^(n-1-p), so numeric order is lex
+    order.  There is one row per key per run, and the whole-S_n block is one
+    run, so it gives one row per class.  Rows of several runs or blocks merge
+    by key, summing counts and taking the smaller code.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"kernel supports sizes 2..{MAX_N}, got {n}")
     if not 0 <= start <= start + count <= factorial(n):
         raise ValueError("block out of range")
-    acc: dict[bytes, list] = {}
-    get = acc.get
+    rows: list[tuple[int, bytes, int]] = []
+    append = rows.append
     level = _LevelBytes()
     join = b"".join
     weight = [1 << 8 * (n - 1 - p) for p in range(n)]  # 256^(n-1-p)
@@ -205,13 +210,5 @@ def sweep_block(n: int, start: int, count: int) -> dict[bytes, list]:
                             entry[2:] = low[2:]
             for b, cb, vb, s in lows.values():
                 for a, ca, va, _ in ups_at[s]:
-                    key = a + b
-                    value = va + vb
-                    entry = get(key)
-                    if entry is None:
-                        acc[key] = [ca * cb, value]
-                    else:
-                        entry[0] += ca * cb
-                        if value < entry[1]:
-                            entry[1] = value
-    return acc
+                    append((va + vb, a + b, ca * cb))
+    return rows

@@ -10,9 +10,13 @@ The minimal-prefix filter holds its words, the letter sets they reach, and
 the letter sets whose unused letters form a progression (1,381 of them at
 n = 30).  Nothing in it is sized by 2^n, so its memory follows its output.
 
-The class reports of the pyramid sweep and the orbit BFS share one drain,
-which counts the classes of each size and checks each distinct size once:
-it is a power of two, and the sizes sum to n!.
+The pyramid sweep and the orbit BFS give their classes as the same rows,
+(code of the least member, key, size), and share one report step: it sorts
+the rows by code, rewrites each in place into the report's row while
+counting the classes of each size, and checks each distinct size once: it
+is a power of two, and the sizes sum to n!.  The serial sweep hands the
+kernel's rows over as they are, one per class; only the pool merges, by key,
+the rows its blocks share.
 
 The orbit BFS uses one lemma and no pyramid: mirroring the skyline diagram
 turns the rigid shift (h, d) of u into the rigid shift (h, -d) of rev(u),
@@ -38,7 +42,6 @@ import os
 from collections import namedtuple
 from itertools import permutations as _permutations
 from math import factorial
-from operator import itemgetter
 
 from . import kernel
 from .errors import InternalError
@@ -68,28 +71,24 @@ class ClassPartitionReport(
     __slots__ = ()
 
 
-def _finish_report(n: int, table: dict) -> ClassPartitionReport:
-    """Drain ``table``, {key: [class size, code of its least member]} with
-    the code of u being sum of u[p] * 256^(n-1-p) as ``kernel.sweep_block``
-    gives it, into the report.
+def _finish_report(n: int, rows: list) -> ClassPartitionReport:
+    """Turn ``rows``, one (code of the least member, key, class size) per
+    class with the code of u being sum of u[p] * 256^(n-1-p) as
+    ``kernel.sweep_block`` gives it, into the report.
 
-    Classes leave the table one at a time, in insertion order, and each code
-    becomes a tuple only as its row is written, so the table and the rows are
-    never held whole at once.  The drain only counts the classes of each
-    size; the checks run once per distinct size after it: each size must be
-    a power of two, and the sizes, times their counts, must sum to n!.  The
-    table is empty, and cleared, before the rows are sorted by least member
-    and the histogram by exponent, so the report does not depend on the
-    order the table was filled in.
+    The rows are sorted by code, an int sort as no two classes share a least
+    member, so the report does not depend on the order they came in.  Each
+    row is then rewritten in place to (key, size, least member), its code
+    becoming a tuple only then, and the classes of each size are counted in
+    the same pass.  The checks run once per distinct size after it: each
+    size must be a power of two, and the sizes, times their counts, must sum
+    to n!.
     """
+    rows.sort()
     per_size: dict[int, int] = {}  # class size -> number of classes of that size
-    classes = []
-    pop = table.pop
-    for key in list(table):
-        size, code = pop(key)
+    for i, (code, key, size) in enumerate(rows):
         per_size[size] = per_size.get(size, 0) + 1
-        classes.append((key, size, tuple(code.to_bytes(n, "big"))))
-    table.clear()
+        rows[i] = (key, size, tuple(code.to_bytes(n, "big")))
     histogram: dict[int, int] = {}
     total = 0
     for size, count in per_size.items():
@@ -100,20 +99,21 @@ def _finish_report(n: int, table: dict) -> ClassPartitionReport:
         total += size * count
     if total != factorial(n):
         raise InternalError(f"class sizes sum to {total}, expected {factorial(n)}")
-    classes.sort(key=itemgetter(2))
     histogram = dict(sorted(histogram.items()))
-    return ClassPartitionReport(n, len(classes), histogram, tuple(classes))
+    return ClassPartitionReport(n, len(rows), histogram, tuple(rows))
 
 
-def _merge(into: dict[bytes, list], part: dict[bytes, list]) -> None:
-    for key, (count, least) in part.items():
+def _merge(into: dict[bytes, list], rows: list) -> None:
+    """Fold a block's rows into ``into``, {key: [code, count]}: a key that
+    several blocks hold sums its counts and keeps the smaller code."""
+    for code, key, count in rows:
         entry = into.get(key)
         if entry is None:
-            into[key] = [count, least]
+            into[key] = [code, count]
         else:
-            entry[0] += count
-            if least < entry[1]:
-                entry[1] = least
+            entry[1] += count
+            if code < entry[0]:
+                entry[0] = code
 
 
 def bruteforce_ss_partition(
@@ -123,10 +123,10 @@ def bruteforce_ss_partition(
 
     With ``workers`` > 1 the lexicographic order is split into ``workers``
     contiguous blocks (at most n!, one permutation each), swept by a pool of
-    at most one process per CPU; per-block tallies merge by summing counts
+    at most one process per CPU; per-block rows merge by key, summing counts
     and keeping the least representative.  On a 2-CPU machine two workers
     are slower than one: the parent process unpickles and merges every
-    block's table on its own, and that costs more than the sweep it shares.
+    block's rows on its own, and that costs more than the sweep it shares.
     """
     n = as_size(n, least=2)
     workers = as_size(workers, "workers", least=1)
@@ -147,7 +147,7 @@ def bruteforce_ss_partition(
         ]
         for future in futures:
             _merge(groups, future.result())
-    return _finish_report(n, groups)
+    return _finish_report(n, [(code, key, count) for key, (code, count) in groups.items()])
 
 
 def _periodic_complements(n: int) -> set[int]:
@@ -301,7 +301,7 @@ def bruteforce_shift_partition(
     n = as_size(n, least=2)
     enforce_limit(n, limit, DEFAULT_SHIFT_LIMIT)
     seen: set[tuple[int, ...]] = set()
-    entries = {}
+    rows = []
     level = kernel._LevelBytes()
     join = b"".join
     at = [0] * (n + 1)  # at[x] = 1 << the position of letter x in `least`
@@ -314,7 +314,7 @@ def bruteforce_shift_partition(
         for x in range(n, 0, -1):
             mask |= at[x]
             parts.append(level[mask])
-        entries[join(parts)] = (size, int.from_bytes(bytes(least), "big"))
+        rows.append((int.from_bytes(bytes(least), "big"), join(parts), size))
 
     for start in _permutations(range(1, n + 1)):
         if start in seen:
@@ -336,7 +336,7 @@ def bruteforce_shift_partition(
         elif start[::-1] not in orbit:
             record(min(mirror), len(mirror))
         record(start, len(orbit))
-    return _finish_report(n, entries)
+    return _finish_report(n, rows)
 
 
 # -- agreement checks driven by the CLI --------------------------------------

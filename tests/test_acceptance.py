@@ -286,9 +286,9 @@ def criterion_11():
 def criterion_12():
     elapsed = _timed()
     for n in range(2, 9):
-        groups = kernel.sweep_block(n, 0, factorial(n))
+        rows = kernel.sweep_block(n, 0, factorial(n))
         total_classes = 0
-        for key, (size, _least) in groups.items():
+        for _least, key, size in rows:
             # validated construction checks the base and every transition
             p = PyramidalSequence(levels_from_key(key))
             j = class_size_exponent(p)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sswilf import kernel
+from sswilf.counting import class_count
 from sswilf.pyramid import canonical_key, pyramidal_sequence
 
 from conftest import symmetric_group
@@ -16,6 +17,20 @@ def _code(u):
     """The base-256 code sweep_block gives a least member: sum of
     u[p] * 256^(n-1-p)."""
     return int.from_bytes(bytes(u), "big")
+
+
+def _merged(rows):
+    """The rows of sweep_block merged by key as blocks merge: {key: [count,
+    least code]}, summing counts and keeping the smaller code."""
+    merged = {}
+    for code, key, count in rows:
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [count, code]
+        else:
+            entry[0] += count
+            entry[1] = min(entry[1], code)
+    return merged
 
 
 def _library_tally(n, start, count):
@@ -34,7 +49,7 @@ def _library_tally(n, start, count):
 def test_key_matches_library():
     for n in range(2, 7):
         for rank in range(factorial(n)):
-            assert kernel.sweep_block(n, rank, 1) == _library_tally(n, rank, 1)
+            assert _merged(kernel.sweep_block(n, rank, 1)) == _library_tally(n, rank, 1)
 
 
 def test_key_matches_library_random_large():
@@ -43,7 +58,7 @@ def test_key_matches_library_random_large():
         for _ in range(8):
             count = rng.randint(1, 40)
             start = rng.randrange(factorial(n) - count + 1)
-            assert kernel.sweep_block(n, start, count) == _library_tally(n, start, count)
+            assert _merged(kernel.sweep_block(n, start, count)) == _library_tally(n, start, count)
 
 
 def test_sweep_counts_match_direct_grouping():
@@ -54,10 +69,18 @@ def test_sweep_counts_match_direct_grouping():
             if key not in expected:
                 expected[key] = [0, _code(u)]
             expected[key][0] += 1
+        # one row per class, so the rows themselves equal the grouping
         got = kernel.sweep_block(n, 0, factorial(n))
-        assert {k: tuple(v) for k, v in got.items()} == {
-            k: tuple(v) for k, v in expected.items()
-        }
+        assert sorted(got) == sorted(
+            (least, key, count) for key, (count, least) in expected.items()
+        )
+
+
+def test_whole_group_gives_one_row_per_class():
+    # the whole-S_n block is one run, and a run meets each key in one pair
+    for n in range(2, 10):
+        keys = [key for _, key, _ in kernel.sweep_block(n, 0, factorial(n))]
+        assert len(set(keys)) == len(keys) == class_count(n), n
 
 
 def test_aligned_runs_of_six_to_eight_free_letters():
@@ -68,7 +91,7 @@ def test_aligned_runs_of_six_to_eight_free_letters():
     for n, k in ((12, 6), (14, 7), (16, 8)):
         run = factorial(k)
         start = 0 if n == 16 else run * rng.randrange(factorial(n) // run)
-        assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
+        assert _merged(kernel.sweep_block(n, start, run)) == _library_tally(n, start, run)
 
 
 def _rank(u):
@@ -104,7 +127,7 @@ def test_translated_runs_with_a_head():
         starts = [0] if k == 8 else [0, _run_with_head(rng, n, k, False)]
         for start in starts:
             assert start % run == 0
-            assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
+            assert _merged(kernel.sweep_block(n, start, run)) == _library_tally(n, start, run)
 
 
 def test_runs_whose_head_holds_a_letter_above_t():
@@ -114,7 +137,7 @@ def test_runs_whose_head_holds_a_letter_above_t():
         run = factorial(k)
         start = _run_with_head(rng, n, k, True)
         assert start % run == 0
-        assert kernel.sweep_block(n, start, run) == _library_tally(n, start, run)
+        assert _merged(kernel.sweep_block(n, start, run)) == _library_tally(n, start, run)
 
 
 def test_blocks_merge_to_full_sweep():
@@ -123,26 +146,18 @@ def test_blocks_merge_to_full_sweep():
     for n, cuts in ((6, (240, 360)), (9, (120_961, 241_919))):
         total = factorial(n)
         full = kernel.sweep_block(n, 0, total)
-        merged = {}
         bounds = [0, *cuts, total]
+        rows = []
         for lo, hi in zip(bounds, bounds[1:]):
-            for key, (count, least) in kernel.sweep_block(n, lo, hi - lo).items():
-                entry = merged.setdefault(key, [0, least])
-                if entry[0]:
-                    entry[0] += count
-                    entry[1] = min(entry[1], least)
-                else:
-                    entry[:] = [count, least]
-        assert {k: tuple(v) for k, v in merged.items()} == {
-            k: tuple(v) for k, v in full.items()
-        }
+            rows += kernel.sweep_block(n, lo, hi - lo)
+        assert _merged(rows) == _merged(full)
 
 
 def test_every_block_of_s4():
     total = factorial(4)
     for start in range(total + 1):
         for count in range(total - start + 1):
-            assert kernel.sweep_block(4, start, count) == _library_tally(4, start, count)
+            assert _merged(kernel.sweep_block(4, start, count)) == _library_tally(4, start, count)
 
 
 def test_unaligned_random_blocks():
@@ -154,19 +169,19 @@ def test_unaligned_random_blocks():
         for _ in range(100):
             count = rng.randint(1, 200)
             start = rng.randrange(1, total - count + 1, 2)
-            assert kernel.sweep_block(n, start, count) == _library_tally(n, start, count)
+            assert _merged(kernel.sweep_block(n, start, count)) == _library_tally(n, start, count)
 
 
 def test_empty_blocks():
     for n in (2, 5, 9, 16):
         for start in (0, 1, factorial(n) // 2, factorial(n)):
-            assert kernel.sweep_block(n, start, 0) == {}
+            assert kernel.sweep_block(n, start, 0) == []
 
 
 def test_block_ending_at_the_last_permutation():
     for n, count in ((5, 1), (6, 7), (7, 130), (10, 45), (16, 30)):
         start = factorial(n) - count
-        assert kernel.sweep_block(n, start, count) == _library_tally(n, start, count)
+        assert _merged(kernel.sweep_block(n, start, count)) == _library_tally(n, start, count)
 
 
 @st.composite
@@ -180,7 +195,7 @@ def _blocks(draw):
 @settings(derandomize=True)
 @given(block=_blocks())
 def test_any_block_matches_library(block):
-    assert kernel.sweep_block(*block) == _library_tally(*block)
+    assert _merged(kernel.sweep_block(*block)) == _library_tally(*block)
 
 
 def test_size_bounds():

@@ -292,6 +292,14 @@ ORBIT_REPORT_DIGESTS = {
     (7, False): "3ce041506512455d", (7, True): "6b55aa327edbff42",
 }
 
+# sha256 of repr(bruteforce_ss_partition(n)), first 16 hex digits: the
+# report's bytes, which no change to how the sweep builds it may move
+SS_REPORT_DIGESTS = {
+    2: "0ee20e849fb77c9f", 3: "452add544b141dfe", 4: "dcf35f50f236fb16",
+    5: "d7c4552e248773ee", 6: "774dd28f1510c2cb", 7: "3ce041506512455d",
+    8: "1d388612da8a3e81", 9: "caf7bf0842866e69",
+}
+
 
 def _modules_imported(tree):
     """Every dotted module name an import statement in ``tree`` may bind,
@@ -347,27 +355,30 @@ def _code(u):
 
 class TestFinishReport:
     def test_a_size_that_is_no_power_of_two_is_named(self):
-        table = {b"a": [3, _code((1, 2, 3))], b"b": [3, _code((2, 1, 3))]}
+        rows = [(_code((1, 2, 3)), b"a", 3), (_code((2, 1, 3)), b"b", 3)]
         with pytest.raises(InternalError, match="class size 3 is not a power of two"):
-            oracle._finish_report(3, table)
+            oracle._finish_report(3, rows)
 
     def test_sizes_short_of_n_factorial(self):
-        table = {b"a": [2, _code((1, 2, 3))], b"b": [2, _code((2, 1, 3))]}
+        rows = [(_code((1, 2, 3)), b"a", 2), (_code((2, 1, 3)), b"b", 2)]
         with pytest.raises(InternalError, match="class sizes sum to 4, expected 6"):
-            oracle._finish_report(3, table)
+            oracle._finish_report(3, rows)
 
     def test_histogram_and_rows_come_out_sorted(self):
         members = [(4, 3, 2, 1), (2, 1, 3, 4), (3, 1, 2, 4), (1, 2, 3, 4), (1, 3, 2, 4)]
-        sizes = [8, 2, 4, 8, 2]  # exponents 3, 1, 2, 3, 1 in insertion order
-        table = {
-            bytes([k]): [size, _code(u)] for k, (size, u) in enumerate(zip(sizes, members))
-        }
-        report = oracle._finish_report(4, table)
-        assert table == {}
+        sizes = [8, 2, 4, 8, 2]  # exponents 3, 1, 2, 3, 1 in the rows' order
+        rows = [(_code(u), bytes([k]), size) for k, (size, u) in enumerate(zip(sizes, members))]
+        report = oracle._finish_report(4, rows)
         assert list(report.size_histogram.items()) == [(1, 2), (2, 1), (3, 2)]
         assert report.class_count == 5
         assert [row[2] for row in report.classes] == sorted(members)
         assert [row[1] for row in report.classes] == [8, 2, 2, 4, 8]
+        assert [row[0] for row in report.classes] == [b"\3", b"\4", b"\1", b"\2", b"\0"]
+
+    def test_pyramid_reports_are_unchanged(self):
+        for n, digest in SS_REPORT_DIGESTS.items():
+            report = bruteforce_ss_partition(n)
+            assert hashlib.sha256(repr(report).encode()).hexdigest()[:16] == digest, n
 
 
 class TestChecks:
