@@ -6,13 +6,18 @@ the partition of S_n by pyramid, the minimal-prefix sets and their counts,
 and the orbit partitions under rigid shifts.  The oracle side deliberately
 avoids the recursive shortcuts so that agreement is meaningful.
 
-The minimal-prefix filter holds its words, the letter sets they reach, and
-the letter sets whose unused letters form a progression (1,381 of them at
-n = 30).  Nothing in it is sized by 2^n, so its memory follows its output.
+Whether a word is a minimal prefix depends only on the letter sets of its
+prefixes, so the minimal-prefix filter walks letter sets, not words.  It
+then joins two halves at the letter sets of length k = (i + 1) // 2: the
+words of length k, and for each of their sets the suffixes that complete
+it, listed back from length i.  It holds those half-words, the letter sets
+they reach, and the letter sets whose unused letters form a progression
+(1,381 of them at n = 30).  Nothing in it is sized by 2^n, and each suffix
+it lists completes an output word, so its memory follows its output.
 
 The pyramid sweep and the orbit BFS give their classes as the same rows,
 (code of the least member, key, size), and share one report step: it sorts
-the rows by code, rewrites each in place into the report's row while
+the rows on their codes, rewrites each in place into the report's row while
 counting the classes of each size, and checks each distinct size once: it
 is a power of two, and the sizes sum to n!.  The serial sweep hands the
 kernel's rows over as they are, one per class; only the pool merges, by key,
@@ -42,6 +47,7 @@ import os
 from collections import namedtuple
 from itertools import permutations as _permutations
 from math import factorial
+from operator import itemgetter
 
 from . import kernel
 from .errors import InternalError
@@ -76,15 +82,16 @@ def _finish_report(n: int, rows: list) -> ClassPartitionReport:
     class with the code of u being sum of u[p] * 256^(n-1-p) as
     ``kernel.sweep_block`` gives it, into the report.
 
-    The rows are sorted by code, an int sort as no two classes share a least
-    member, so the report does not depend on the order they came in.  Each
-    row is then rewritten in place to (key, size, least member), its code
-    becoming a tuple only then, and the classes of each size are counted in
-    the same pass.  The checks run once per distinct size after it: each
-    size must be a power of two, and the sizes, times their counts, must sum
-    to n!.
+    The rows are sorted on their code alone, an int key.  No two classes
+    share a least member, so this gives the order of a sort on whole rows
+    without its second comparison per pair, and the report does not depend
+    on the order the rows came in.  Each row is then rewritten in place to
+    (key, size, least member), its code becoming a tuple only then, and the
+    classes of each size are counted in the same pass.  The checks run once
+    per distinct size after it: each size must be a power of two, and the
+    sizes, times their counts, must sum to n!.
     """
-    rows.sort()
+    rows.sort(key=itemgetter(0))
     per_size: dict[int, int] = {}  # class size -> number of classes of that size
     for i, (code, key, size) in enumerate(rows):
         per_size[size] = per_size.get(size, 0) + 1
@@ -172,24 +179,36 @@ def bruteforce_minimal_prefixes(
     conditions (periodic complement, no shorter prefix with one), without the
     recursive construction.
 
-    The words grow one letter at a time in lex order.  A shorter word whose
-    complement is periodic is dropped at once, since no extension of it can
-    be minimal; at length i only the words with a periodic complement stay.
-    Each length lists the letters that may follow only for the letter sets
-    its words hold, so a call holds and does work in proportion to the words
-    it meets.
+    Whether a word is a minimal prefix depends only on the letter sets of its
+    prefixes: the set of all i letters has a periodic complement and no
+    shorter nonempty prefix's set has one.  So the filter first walks letter
+    sets alone: for each length it lists, per mask reached, the letters that
+    may follow, each leaving a complement periodic at length i and aperiodic
+    before.  It then joins two halves at the masks of length k = (i + 1) // 2.
+    Going back from length i, each mask gets its completing suffixes, in lex
+    order; going forward, only the words of length k are listed.  Each word
+    is followed by the suffixes of its mask, which keeps lex order, since the
+    words ascend and so do each mask's suffixes.  Near the middle both
+    halves stay small: at (i, n) = (7, 9) the split k = 0..7 took
+    58/49/36/24/19/24/39/76 ms (median of 7 calls), against 42 ms for a
+    filter that lists the words of every length, and at (6, 9) k = 3 took
+    1.9 ms against 5.7 ms.
+
+    Every mask in the walk is reached by a word, so every suffix listed
+    completes at least one output word: a call holds and does work in
+    proportion to its output, with no table over all 2^n letter sets.
     """
     i, n = as_prefix_length(i, n)
     enforce_limit(n, limit, DEFAULT_SS_LIMIT)
     periodic = _periodic_complements(n)
-    words: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (word, mask of its letters)
-    masks = {0}  # the masks the words hold: each mask reached is held by a word
     letters = [(x, 1 << (x - 1)) for x in range(1, n + 1)]
+    masks = {0}  # the masks reached at the current length
+    # steps[length - 1][mask] lists (letter, mask with it) for each unused
+    # letter whose addition leaves a complement that is periodic at length i
+    # and aperiodic before
+    steps = []
     for length in range(1, i + 1):
         last = length == i
-        # step[mask] = (letter, mask with it) for each unused letter whose
-        # addition leaves a complement that is periodic at length i and
-        # aperiodic before
         step = {
             mask: [
                 (x, mask | bit)
@@ -198,12 +217,19 @@ def bruteforce_minimal_prefixes(
             ]
             for mask in masks
         }
-        if last:
-            break
+        steps.append(step)
+        masks = {m for nexts in step.values() for _, m in nexts}
+    k = (i + 1) // 2
+    tails = {m: [()] for m in masks}  # tails[mask]: its suffixes to length i
+    for step in reversed(steps[k:]):
+        tails = {
+            mask: [(x,) + t for x, m in nexts for t in tails[m]]
+            for mask, nexts in step.items()
+        }
+    words: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (word, mask of its letters)
+    for step in steps[:k]:
         words = [(w + (x,), m) for w, mask in words for x, m in step[mask]]
-        masks = {m for mask in masks for _, m in step[mask]}
-    # the last length keeps words only: no mask follows them
-    return tuple([w + (x,) for w, mask in words for x, _ in step[mask]])
+    return tuple([w + t for w, mask in words for t in tails[mask]])
 
 
 def bruteforce_minimal_prefix_row(n: int, limit: int | None = None) -> tuple[int, ...]:

@@ -141,6 +141,15 @@ class TestEquivalencePartition:
         assert bruteforce_ss_partition(5, limit=5).class_count == 40
 
 
+# sha256 of repr(bruteforce_minimal_prefixes(i, 10, limit=10)), first 16 hex
+# digits, as the filter over whole words of every length listed them
+PREFIX_LISTING_DIGESTS = {
+    1: "5a8f51ba8193dbe4", 2: "71280cf77a50ec8b", 3: "a499bfec8171ecf2",
+    4: "798e7c24e715e31f", 5: "6fc6c467f310c108", 6: "306bb8ea47478ac6",
+    7: "18b2aff3b1e99758", 8: "5d2274931043976b",
+}
+
+
 class TestMinimalPrefixSweep:
     def test_pairs_over_five(self):
         assert set(bruteforce_minimal_prefixes(2, 5)) == {
@@ -172,7 +181,7 @@ class TestMinimalPrefixSweep:
     def test_same_tuple_as_a_filter_over_every_word(self):
         # every length-i word, scanned from its first letter until a prefix
         # leaves a periodic complement: kept only when that prefix is all of it
-        for n in range(3, 9):
+        for n in range(3, 10):
             periodic = _periodic_complements(n)
             for i in range(1, n - 1):
                 expected = []
@@ -185,6 +194,11 @@ class TestMinimalPrefixSweep:
                                 expected.append(w)
                             break
                 assert bruteforce_minimal_prefixes(i, n) == tuple(expected)
+
+    def test_listings_at_ten_are_unchanged(self):
+        for i, digest in PREFIX_LISTING_DIGESTS.items():
+            listing = bruteforce_minimal_prefixes(i, 10, limit=10)
+            assert hashlib.sha256(repr(listing).encode()).hexdigest()[:16] == digest, i
 
     def test_memory_follows_the_words_not_two_to_the_n(self):
         # the two words of D(1, 22) need no table over the 2^22 letter sets
