@@ -262,7 +262,7 @@ def _cmd_oracle(args) -> int:
         oracle._check_sizes(check, args.n_max, args.limit)
     for check in checks:
         if check == "ss":
-            found = oracle.check_ss(args.n_max, workers=args.workers, limit=args.limit)
+            found = oracle.check_ss(args.n_max, limit=args.limit)
         elif check == "prefixes":
             found = oracle.check_prefixes(args.n_max, limit=args.limit)
         else:
@@ -386,13 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     # checked against oracle.LIMITS when the command runs, not on every start
     p.add_argument("--check", default="all", help="the cross-check to run (default: all)")
     p.add_argument("--n-max", type=int, default=7, dest="n_max")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep S_n in this many blocks on a process pool (default: 1); "
-        "on 2 CPUs more than 1 is slower, as the parent merges every block",
-    )
     p.add_argument("--limit", type=int, help="raise the sweep size guard")
     p.set_defaults(func=_cmd_oracle)
 

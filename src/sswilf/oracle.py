@@ -19,9 +19,8 @@ The pyramid sweep and the orbit BFS give their classes as the same rows,
 (code of the least member, key, size), and share one report step: it sorts
 the rows on their codes, rewrites each in place into the report's row while
 counting the classes of each size, and checks each distinct size once: it
-is a power of two, and the sizes sum to n!.  The serial sweep hands the
-kernel's rows over as they are, one per class; only the pool merges, by key,
-the rows its blocks share.
+is a power of two, and the sizes sum to n!.  The pyramid sweep hands the
+kernel's rows over as they are, one per class.
 
 The orbit BFS uses one lemma and no pyramid: mirroring the skyline diagram
 turns the rigid shift (h, d) of u into the rigid shift (h, -d) of rev(u),
@@ -43,7 +42,6 @@ limit lets the pyramid sweep past ``kernel.MAX_N``.
 """
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from itertools import permutations as _permutations
 from math import factorial
@@ -110,51 +108,11 @@ def _finish_report(n: int, rows: list) -> ClassPartitionReport:
     return ClassPartitionReport(n, len(rows), histogram, tuple(rows))
 
 
-def _merge(into: dict[bytes, list], rows: list) -> None:
-    """Fold a block's rows into ``into``, {key: [code, count]}: a key that
-    several blocks hold sums its counts and keeps the smaller code."""
-    for code, key, count in rows:
-        entry = into.get(key)
-        if entry is None:
-            into[key] = [code, count]
-        else:
-            entry[1] += count
-            if code < entry[0]:
-                entry[0] = code
-
-
-def bruteforce_ss_partition(
-    n: int, workers: int = 1, limit: int | None = None
-) -> ClassPartitionReport:
-    """Group all of S_n by pyramid key.
-
-    With ``workers`` > 1 the lexicographic order is split into ``workers``
-    contiguous blocks (at most n!, one permutation each), swept by a pool of
-    at most one process per CPU; per-block rows merge by key, summing counts
-    and keeping the least representative.  On a 2-CPU machine two workers
-    are slower than one: the parent process unpickles and merges every
-    block's rows on its own, and that costs more than the sweep it shares.
-    """
+def bruteforce_ss_partition(n: int, limit: int | None = None) -> ClassPartitionReport:
+    """Group all of S_n by pyramid key, in one kernel sweep."""
     n = as_size(n, least=2)
-    workers = as_size(workers, "workers", least=1)
     enforce_limit(n, limit, DEFAULT_SS_LIMIT, _MOST["ss"])
-    total = factorial(n)
-    blocks = min(workers, total)
-    if blocks == 1:
-        return _finish_report(n, kernel.sweep_block(n, 0, total))
-    # imported here: the pool costs every other command its start-up time
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [total * b // blocks for b in range(blocks + 1)]
-    groups: dict[bytes, list] = {}
-    with ProcessPoolExecutor(max_workers=min(blocks, os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(kernel.sweep_block, n, lo, hi - lo)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for future in futures:
-            _merge(groups, future.result())
-    return _finish_report(n, [(code, key, count) for key, (code, count) in groups.items()])
+    return _finish_report(n, kernel.sweep_block(n, 0, factorial(n)))
 
 
 def _periodic_complements(n: int) -> set[int]:
@@ -376,13 +334,13 @@ def _check_sizes(check: str, n_max: int, limit: int | None) -> range:
     return range(least, n_max + 1)
 
 
-def check_ss(n_max: int, workers: int = 1, limit: int | None = None) -> list[str]:
+def check_ss(n_max: int, limit: int | None = None) -> list[str]:
     """Compare swept class counts and histograms against the recurrences."""
     from .counting import class_count, class_count_by_exponent
 
     mismatches = []
     for n in _check_sizes("ss", n_max, limit):
-        report = bruteforce_ss_partition(n, workers=workers, limit=limit)
+        report = bruteforce_ss_partition(n, limit=limit)
         expected = class_count(n)
         if report.class_count != expected:
             mismatches.append(

@@ -464,11 +464,12 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "--check", "ss", "--n-max", n, "--limit", n)
         assert code == 2 and out == "" and "error" in err
 
-    def test_workers_below_one_exits_two(self, capsys):
-        code, out, err = run(
-            capsys, "oracle", "--check", "ss", "--n-max", "5", "--workers", "-2"
-        )
-        assert code == 2 and "workers" in err
+    def test_workers_is_an_unknown_argument(self, capsys):
+        # the sweep is one serial run; there is no pool to size
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle", "--check", "ss", "--n-max", "5", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_limit_refused_before_any_check_runs(self, capsys):
         # prefixes and ss fit n = 8; shift does not, so nothing may run
@@ -504,7 +505,7 @@ class TestOracleCommand:
         from sswilf import oracle
 
         monkeypatch.setattr(
-            oracle, "check_ss", lambda n_max, workers, limit: ["n=4: fake"]
+            oracle, "check_ss", lambda n_max, limit: ["n=4: fake"]
         )
         code, out, _ = run(capsys, "oracle", "--check", "ss", "--n-max", "4")
         assert code == 1 and "MISMATCH" in out
@@ -592,7 +593,7 @@ print(json.dumps(loaded))
 
 
 def test_import_leaves_out_the_process_pool():
-    # only `oracle --workers` above 1 needs a pool; start-up should not pay for it.
+    # no command runs a process pool, and start-up loads none of these modules.
     # Each command loads the library module it runs, and nothing else.
     done = subprocess.run(
         [sys.executable, "-c", LOADED_BY], capture_output=True, text=True, timeout=60,

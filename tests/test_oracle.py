@@ -1,7 +1,5 @@
 import ast
-import concurrent.futures
 import hashlib
-import os
 import tracemalloc
 from itertools import permutations
 from pathlib import Path
@@ -51,71 +49,6 @@ class TestEquivalencePartition:
             assert report.class_count == class_count(n)
             for j, count in report.size_histogram.items():
                 assert count == class_count_by_exponent(j, n)
-
-    def test_parallel_blocks_agree(self):
-        single = bruteforce_ss_partition(6)
-        split = bruteforce_ss_partition(6, workers=2)
-        assert single == split
-
-    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
-        pools, blocks = [], []
-
-        class InlinePool:
-            """Records the pool size and sweeps each block in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                blocks.append(args)
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        serial = bruteforce_ss_partition(8)
-        assert bruteforce_ss_partition(8, workers=1000) == serial
-        assert pools == [2]
-        assert len(blocks) == 1000
-        assert sum(count for _, _, count in blocks) == 40320
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert bruteforce_ss_partition(8, workers=3) == serial
-        assert pools == [2, 1]
-
-    def test_blocks_stop_at_one_permutation_each(self, monkeypatch):
-        # a workers value far above n! builds no more than n! bounds
-        pools, blocks = [], []
-
-        class InlinePool:
-            """Records the pool size and sweeps each block in this process."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                blocks.append(args)
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert bruteforce_ss_partition(5, workers=10**12) == bruteforce_ss_partition(5)
-        assert pools == [2]
-        assert blocks == [(5, rank, 1) for rank in range(120)]
 
     def test_representatives_are_least_members(self):
         report = bruteforce_ss_partition(5)

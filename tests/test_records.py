@@ -95,7 +95,7 @@ class TestRepr:
         assert isinstance(bruteforce_ss_partition(3), ClassPartitionReport)
 
     def test_report_ignores_row_order(self):
-        # a pool merges block rows in block order: the report must not show it
+        # the orbit BFS hands its rows in its own order: the report must not show it
         rows = sweep_block(5, 0, 120)
         shuffled = list(rows)
         random.Random(5).shuffle(shuffled)

@@ -52,9 +52,6 @@ BAD_CALLS = {
     "class_representatives_float": lambda: representatives.class_representatives(3.5),
     "noninterval_to_prefix_float": lambda: trapezoid.noninterval_to_prefix((2, 3, 1), 5.5),
     "bruteforce_ss_partition_float": lambda: oracle.bruteforce_ss_partition(4.0),
-    "bruteforce_ss_partition_workers_text": lambda: oracle.bruteforce_ss_partition(5, workers="2"),
-    "bruteforce_ss_partition_workers_zero": lambda: oracle.bruteforce_ss_partition(5, workers=0),
-    "bruteforce_ss_partition_workers_negative": lambda: oracle.bruteforce_ss_partition(5, workers=-4),
     "bruteforce_ss_partition_limit_text": lambda: oracle.bruteforce_ss_partition(3, limit="x"),
     "as_permutation_float_letter": lambda: words.as_permutation([1.5, 2]),
     "as_permutation_text_letter": lambda: words.as_permutation(["x"]),
@@ -145,8 +142,6 @@ SIZE_DOMAINS = {
     "class_count_by_exponent_n": (lambda n: counting.class_count_by_exponent(1, n), 2),
     "class_count_by_exponent_j": (lambda j: counting.class_count_by_exponent(j, 4), 0),
     "bruteforce_ss_partition": (oracle.bruteforce_ss_partition, 2),
-    "bruteforce_ss_partition_workers": (
-        lambda w: oracle.bruteforce_ss_partition(3, workers=w), 1),
     "bruteforce_shift_partition": (
         lambda n: oracle.bruteforce_shift_partition(n, with_reversals=True), 2),
     "bruteforce_minimal_prefix_row": (oracle.bruteforce_minimal_prefix_row, 3),
@@ -216,9 +211,7 @@ _CALLABLES = [
 @given(data=st.data())
 def test_only_wilf_errors_escape_the_public_api(name, data):
     func = getattr(sswilf, name)
-    # workers > 1 would start a process pool per example
-    params = [p for p in inspect.signature(func).parameters if p != "workers"]
-    kwargs = {p: data.draw(_JUNK, label=p) for p in params}
+    kwargs = {p: data.draw(_JUNK, label=p) for p in inspect.signature(func).parameters}
     try:
         func(**kwargs)
     except WilfError:
