@@ -9,7 +9,8 @@ disagreement, or a false answer under ``--strict``), 2 usage or parse errors,
 
 One table, ``_FAMILIES``, gives each count family's function, row parameter
 and table domain; ``count``, ``count --table`` and ``table 1``-``4`` all read
-it.  The oracle's checks and their default limits come from ``oracle.LIMITS``.
+it.  The oracle's checks, their least sizes and their limits come from
+``oracle.CHECKS``, and check ``name`` runs ``oracle.check_<name>``.
 
 Only the counting recurrences load with this module, since ``_FAMILIES``
 binds them; every other command imports the library module it needs when it
@@ -251,22 +252,17 @@ def _cmd_oracle(args) -> int:
     from . import oracle
 
     if args.check == "all":
-        checks = tuple(oracle.LIMITS)
-    elif args.check in oracle.LIMITS:
+        checks = tuple(oracle.CHECKS)
+    elif args.check in oracle.CHECKS:
         checks = (args.check,)
     else:
-        names = ", ".join((*oracle.LIMITS, "all"))
+        names = ", ".join((*oracle.CHECKS, "all"))
         raise UsageError(f"unknown check {args.check!r}; choose from {names}")
     mismatches: list[str] = []
     for check in checks:  # refuse a size out of range before sweeping anything
         oracle._check_sizes(check, args.n_max, args.limit)
     for check in checks:
-        if check == "ss":
-            found = oracle.check_ss(args.n_max, limit=args.limit)
-        elif check == "prefixes":
-            found = oracle.check_prefixes(args.n_max, limit=args.limit)
-        else:
-            found = oracle.check_shift(args.n_max, limit=args.limit)
+        found = getattr(oracle, f"check_{check}")(args.n_max, limit=args.limit)
         mismatches.extend(f"{check}: {m}" for m in found)
         if not args.json:
             status = "ok" if not found else f"{len(found)} mismatches"
@@ -383,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common], help="brute force vs recurrences"
     )
-    # checked against oracle.LIMITS when the command runs, not on every start
+    # checked against oracle.CHECKS when the command runs, not on every start
     p.add_argument("--check", default="all", help="the cross-check to run (default: all)")
     p.add_argument("--n-max", type=int, default=7, dest="n_max")
     p.add_argument("--limit", type=int, help="raise the sweep size guard")

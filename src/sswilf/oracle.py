@@ -38,7 +38,8 @@ the library's orbits also checks the library's moves.
 Each sweep refuses sizes above a limit (``DEFAULT_SS_LIMIT`` for the
 pyramid and prefix sweeps, ``DEFAULT_SHIFT_LIMIT`` for the orbit BFS) unless
 the caller passes a higher ``limit``; the CLI's ``--limit`` feeds it.  No
-limit lets the pyramid sweep past ``kernel.MAX_N``.
+limit lets the pyramid sweep past ``kernel.MAX_N``.  ``CHECKS`` lists the
+cross-checks ``check_<name>`` with their least sizes and limits.
 """
 from __future__ import annotations
 
@@ -53,16 +54,14 @@ from .words import as_prefix_length, as_size, enforce_limit
 
 DEFAULT_SS_LIMIT = 9
 DEFAULT_SHIFT_LIMIT = 7
-# the default limit of each check_* cross-check, in the order the CLI runs them
-LIMITS = {
-    "ss": DEFAULT_SS_LIMIT,
-    "prefixes": DEFAULT_SS_LIMIT,
-    "shift": DEFAULT_SHIFT_LIMIT,
+# each check_* cross-check, in the order the CLI runs them: (the least size
+# it compares, as a smaller n_max checks nothing; its default limit; the most
+# any limit allows, as the kernel sweeps sizes up to its MAX_N only)
+CHECKS = {
+    "ss": (2, DEFAULT_SS_LIMIT, kernel.MAX_N),
+    "prefixes": (3, DEFAULT_SS_LIMIT, None),
+    "shift": (2, DEFAULT_SHIFT_LIMIT, None),
 }
-# the least size each check_* cross-check compares; a smaller n_max checks nothing
-_LEAST = {"ss": 2, "prefixes": 3, "shift": 2}
-# the most a limit may allow: the kernel sweeps sizes up to its MAX_N only
-_MOST = {"ss": kernel.MAX_N}
 
 
 class ClassPartitionReport(
@@ -111,7 +110,7 @@ def _finish_report(n: int, rows: list) -> ClassPartitionReport:
 def bruteforce_ss_partition(n: int, limit: int | None = None) -> ClassPartitionReport:
     """Group all of S_n by pyramid key, in one kernel sweep."""
     n = as_size(n, least=2)
-    enforce_limit(n, limit, DEFAULT_SS_LIMIT, _MOST["ss"])
+    enforce_limit(n, limit, DEFAULT_SS_LIMIT, kernel.MAX_N)
     return _finish_report(n, kernel.sweep_block(n, 0, factorial(n)))
 
 
@@ -328,9 +327,9 @@ def bruteforce_shift_partition(
 def _check_sizes(check: str, n_max: int, limit: int | None) -> range:
     """The sizes ``check`` compares up to ``n_max``: refuse an ``n_max``
     below its least size, which would check nothing, or above its limit."""
-    least = _LEAST[check]
+    least, default, most = CHECKS[check]
     n_max = as_size(n_max, f"n_max of check {check}", least)
-    enforce_limit(n_max, limit, LIMITS[check], _MOST.get(check))
+    enforce_limit(n_max, limit, default, most)
     return range(least, n_max + 1)
 
 

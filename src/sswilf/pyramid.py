@@ -322,27 +322,24 @@ def levels_from_key(key: bytes) -> tuple[DiffVector, ...]:
     """
     if not isinstance(key, (bytes, bytearray)):
         raise InvalidPyramid(f"a pyramid key is bytes, got {key!r}")
+    *chunks, rest = key.split(b"\0")  # 0x00 closes a level, inside no entry
     levels: list[DiffVector] = []
-    current: list[int] = []
-    value = 0
-    shift = 0
-    for byte in key:
-        if byte == 0:
-            if shift:
-                raise InvalidPyramid("a pyramid key holds no overlong or zero entry")
-            if not current:
-                raise InvalidPyramid("a pyramid key holds no empty level")
-            levels.append(tuple(current))
-            current = []
-            continue
-        value |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-        else:
-            current.append(value)
-            value = 0
-            shift = 0
-    if current or shift or not levels:
+    for chunk in chunks:
+        if not chunk:
+            raise InvalidPyramid("a pyramid key holds no empty level")
+        if chunk[-1] & 0x80:
+            raise InvalidPyramid("a pyramid key holds no overlong or zero entry")
+        level = []
+        value = shift = 0
+        for byte in chunk:
+            value |= (byte & 0x7F) << shift
+            if byte & 0x80:
+                shift += 7
+            else:
+                level.append(value)
+                value = shift = 0
+        levels.append(tuple(level))
+    if rest or not levels:
         raise InvalidPyramid("truncated pyramid key")
     levels.reverse()
     return tuple(levels)

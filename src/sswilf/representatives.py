@@ -1,11 +1,12 @@
 """One representative per equivalence class, built recursively.
 
-Members are assembled as ``prefix + suffix`` where the prefix is either the
-single letter 1 or a minimal periodic-complement prefix of length >= 2, and
-the suffix spells a recursively chosen smaller representative on the unused
-letters.  The assembled words themselves may share a class; it is their
-*inverses* that are pairwise inequivalent and form a full transversal of the
-classes.
+Sizes 1 and 2 are the bases: the identity alone.  From size 3 on, members
+are assembled as ``prefix + suffix`` where the prefix is a minimal
+periodic-complement prefix of length i (1 <= i <= n - 2), save the length-1
+prefix (n), and the suffix spells a recursively chosen representative of
+size n - i on the unused letters.  The assembled words themselves may share
+a class; it is their *inverses* that are pairwise inequivalent and form a
+full transversal of the classes.
 """
 from __future__ import annotations
 
@@ -17,29 +18,16 @@ from .words import _invert, as_size
 Decomposition = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-def _emission_prefixes(i: int, n: int) -> tuple[tuple[int, ...], ...]:
-    # length-1 prefixes would overcount: only the letter 1 is used there
-    if i == 1:
-        return ((1,),)
-    return minimal_prefixes(i, n)
-
-
 @lru_cache(maxsize=None)
 def _build(n: int) -> tuple[tuple[tuple[int, ...], Decomposition], ...]:
-    if n == 1:
-        return (((1,), (0, (), ())),)
-    if n == 2:
-        return (((1, 2), (0, (), ())),)
-    if n == 3:
-        # the recursion starts at size 4; size 3 is pinned
-        return (
-            ((1, 2, 3), (1, (1,), (1, 2))),
-            ((2, 1, 3), (1, (2,), (1, 2))),
-        )
+    if n <= 2:
+        return ((tuple(range(1, n + 1)), (0, (), ())),)
     out = []
     full = set(range(1, n + 1))
     for i in range(1, n - 1):
-        for u in _emission_prefixes(i, n):
+        prefixes = minimal_prefixes(i, n)
+        # at length 1 the last prefix, (n), would overcount, so it is left out
+        for u in prefixes[:-1] if i == 1 else prefixes:
             alphabet = sorted(full - set(u))
             for tau, _ in _build(n - i):
                 # un_reduce(alphabet, tau), without checking parts built here

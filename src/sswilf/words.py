@@ -206,12 +206,10 @@ def reduced_form(w: Sequence[int]) -> tuple[int, ...]:
     >>> reduced_form((7, 3, 5))
     (3, 1, 2)
     """
-    try:
-        if len(set(w)) != len(w):
-            raise DuplicateLetter(f"cannot reduce {tuple(w)}: repeated letters")
-        rank = {x: i + 1 for i, x in enumerate(sorted(w))}
-    except TypeError:  # not a sequence, or letters that do not compare
-        raise MalformedToken(f"cannot reduce {w!r}: not a word of letters") from None
+    w = as_word(w)
+    if len(set(w)) != len(w):
+        raise DuplicateLetter(f"cannot reduce {w}: repeated letters")
+    rank = {x: i + 1 for i, x in enumerate(sorted(w))}
     return tuple(rank[x] for x in w)
 
 

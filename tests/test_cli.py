@@ -495,11 +495,11 @@ class TestOracleCommand:
     def test_unknown_check_exits_two(self, capsys, monkeypatch):
         from sswilf import oracle
 
-        for check in oracle.LIMITS:
+        for check in oracle.CHECKS:
             monkeypatch.setattr(oracle, f"check_{check}", None)  # running one would raise
         code, out, err = run(capsys, "oracle", "--check", "bogus")
         assert code == 2 and out == "" and "bogus" in err
-        assert all(check in err for check in oracle.LIMITS)
+        assert all(check in err for check in oracle.CHECKS)
 
     def test_disagreement_exits_one(self, capsys, monkeypatch):
         from sswilf import oracle

@@ -262,6 +262,36 @@ class TestCanonicalKey:
             with pytest.raises(InvalidPyramid):
                 PyramidalSequence(levels_from_key(key))
 
+    def test_decoder_accepts_canonical_keys_only(self):
+        # over these bytes a varint of k bytes takes 2^k forms, so a level of
+        # t bytes with its 0x00 takes 2 * 4^(t - 2): 2 + 8 + (32 + 2 * 2)
+        # + (128 + 2 * 2 * 8) = 206 keys of at most 5 bytes are canonical
+        alphabet = (0x00, 0x01, 0x7F, 0x80, 0x81)
+        decoded = 0
+        for length in range(6):
+            for key in map(bytes, product(alphabet, repeat=length)):
+                try:
+                    levels = levels_from_key(key)
+                except InvalidPyramid:
+                    continue
+                assert _write_key(levels) == key
+                decoded += 1
+        assert decoded == 206
+
+
+def _write_key(levels) -> bytes:
+    """The key of ``levels``: the top level first, each entry as a varint,
+    a 0x00 after each level."""
+    out = bytearray()
+    for level in reversed(levels):
+        for e in level:
+            while e >= 0x80:
+                out.append(e & 0x7F | 0x80)
+                e >>= 7
+            out.append(e)
+        out.append(0)
+    return bytes(out)
+
 
 def test_partition_sizes_sum_to_group_order():
     from math import factorial

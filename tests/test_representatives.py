@@ -1,3 +1,5 @@
+from hashlib import sha256
+
 import pytest
 
 from sswilf.counting import class_count
@@ -14,6 +16,18 @@ from sswilf.words import inverse
 from conftest import symmetric_group
 
 import tables
+
+# the first 16 hex digits of the sha256 of repr(decompositions(n))
+REPRESENTATIVE_DIGESTS = {
+    1: "0adf839ecc4a652b",
+    2: "2591cb7a551ad684",
+    3: "9e2e658779723f84",
+    4: "7885f5392405b113",
+    5: "9ccb36f32ecdb90e",
+    6: "0c47a322d091779b",
+    7: "885de1fa6410d48f",
+    8: "1e63a9fad5dbf92c",
+}
 
 
 class TestAssembledSets:
@@ -59,6 +73,17 @@ class TestEmissionOrder:
     def test_ascending_prefix_length(self):
         lengths = [i for _, (i, _, _) in decompositions(5)]
         assert lengths == sorted(lengths)
+
+    def test_size_three_takes_the_length_one_prefixes_but_three(self):
+        assert decompositions(3) == (
+            ((1, 2, 3), (1, (1,), (1, 2))),
+            ((2, 1, 3), (1, (2,), (1, 2))),
+        )
+
+    @pytest.mark.parametrize("n", sorted(REPRESENTATIVE_DIGESTS))
+    def test_pinned_digests(self, n):
+        digest = sha256(repr(decompositions(n)).encode()).hexdigest()[:16]
+        assert digest == REPRESENTATIVE_DIGESTS[n]
 
     def test_prefix_decomposition_is_sound(self):
         for n in (4, 5, 6):

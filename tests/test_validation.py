@@ -112,6 +112,9 @@ BAD_CALLS = {
     "reversal_int": lambda: words.reversal(0),
     "reduced_form_int": lambda: words.reduced_form(0),
     "reduced_form_mixed_letters": lambda: words.reduced_form(("a", 1)),
+    "reduced_form_float": lambda: words.reduced_form([1.5, 2]),
+    "reduced_form_text": lambda: words.reduced_form("ab"),
+    "reduced_form_nonpositive": lambda: words.reduced_form([-1, 0]),
     "format_word_int": lambda: words.format_word(0),
     "format_word_text_letter": lambda: words.format_word(("a",)),
     "parse_permutation_int": lambda: words.parse_permutation(123),
